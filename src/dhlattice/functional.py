@@ -18,7 +18,8 @@ definite on the rest.  The identity
     Phi(x) - (1/2) (grad Phi(x), x) = sum_n tildeR(n, x(n))
 
 holds exactly because the quadratic part cancels; energy_defect returns its
-floating-point residual.
+floating-point residual.  Every node-wise term (R, grad R, tildeR) is
+evaluated with one vectorized nonlinearity call per window.
 """
 
 from __future__ import annotations
@@ -69,25 +70,26 @@ class FunctionalContext:
         if x.window != self.op.window or x.block_dim != self.op.block_dim:
             raise DimensionMismatchError("vector does not match the context's window")
 
-    def linear_apply(self, x: BlockVector) -> BlockVector:
-        """(A + S) x via the node-wise formulas (no assembled matrix involved)."""
-        return x.with_entries(apply_A(x).entries + apply_S(x, self.op.coeffs).entries)
-
     def gradient_entries(self, x: BlockVector) -> np.ndarray:
-        """Per-node rows of grad Phi(x)."""
+        """Per-node rows of grad Phi(x), with one gradient call for the window."""
         lin = apply_A(x).entries + apply_S(x, self.op.coeffs).entries
-        out = np.array(lin)
-        for i, n in enumerate(self.window.nodes):
-            out[i] -= self.nl.gradient(int(n), x.entries[i])
-        return out
+        return lin - self.nl.gradient(self.window.nodes, x.entries)
 
 
 def Psi(ctx: FunctionalContext, x: BlockVector) -> float:
-    """Sum over window nodes of the interaction density R(n, x(n))."""
+    """Sum over window nodes of the interaction density R(n, x(n)).
+
+    The lattice sum runs left to right (Python ``sum``, not the pairwise
+    ``np.sum``), so its rounding does not depend on how the terms were batched.
+    """
     ctx._check(x)
-    return float(
-        sum(ctx.nl.value(int(n), x.entries[i]) for i, n in enumerate(ctx.window.nodes))
-    )
+    return float(sum(ctx.nl.value(ctx.window.nodes, x.entries)))
+
+
+def tildeR_sum(ctx: FunctionalContext, x: BlockVector) -> float:
+    """Lattice sum of tildeR(n, x(n)) over the window, left to right like Psi."""
+    ctx._check(x)
+    return float(sum(eval_tildeR(ctx.nl, ctx.window.nodes, x.entries)))
 
 
 def Phi(ctx: FunctionalContext, x: BlockVector) -> float:
@@ -120,8 +122,4 @@ def Phi_split(ctx: FunctionalContext, x: BlockVector) -> tuple[float, float, flo
 
 def energy_defect(ctx: FunctionalContext, x: BlockVector) -> float:
     """Residual of the exact identity Phi - (1/2)(grad Phi, x) = sum tildeR."""
-    ctx._check(x)
-    tilde_sum = float(
-        sum(eval_tildeR(ctx.nl, int(n), x.entries[i]) for i, n in enumerate(ctx.window.nodes))
-    )
-    return Phi(ctx, x) - 0.5 * l2_inner(grad_Phi(ctx, x), x) - tilde_sum
+    return Phi(ctx, x) - 0.5 * l2_inner(grad_Phi(ctx, x), x) - tildeR_sum(ctx, x)

@@ -73,22 +73,23 @@ def manufactured_problem(
     r_min = float(np.min(np.sum(orbit.entries**2, axis=1)))
     r0 = r_min / 50.0
 
-    def switch(r: float) -> float:
-        return np.exp(-r0 / r) if r > 0.0 else 0.0
+    def switch(r: np.ndarray) -> np.ndarray:
+        positive = r > 0.0
+        return np.where(positive, np.exp(-r0 / np.where(positive, r, 1.0)), 0.0)
 
-    def value(n: int, z: np.ndarray) -> float:
+    def value(n, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        r = float(np.dot(z, z))
-        return float(np.dot(forcing[n % count], z)) * switch(r)
+        return np.vecdot(forcing[n % count], z) * switch(np.vecdot(z, z))
 
-    def gradient(n: int, z: np.ndarray) -> np.ndarray:
+    def gradient(n, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        r = float(np.dot(z, z))
         f = forcing[n % count]
-        if r == 0.0:
-            return np.zeros_like(z)
+        r = np.vecdot(z, z)
         s = switch(r)
-        return s * f + 2.0 * float(np.dot(f, z)) * s * (r0 / r**2) * z
+        # where s underflows to 0 the gradient is 0, and r0 / r^2 may overflow
+        live = s > 0.0
+        coef = 2.0 * np.vecdot(f, z) * s * (r0 / np.float_power(np.where(live, r, 1.0), 2))
+        return np.where(live[..., None], s[..., None] * f + coef[..., None] * z, 0.0)
 
     nl = Nonlinearity(
         block_dim=block_dim,

@@ -3,8 +3,15 @@ standing hypotheses (R0)-(R4).
 
 A nonlinearity bundles the node-wise energy density R(n, z), its gradient,
 an optional Hessian, and the asymptotic matrices S_inf(n) that describe the
-linear behavior of the gradient at large amplitude.  The built-in families are
-radial (functions of r = |z|^2 only):
+linear behavior of the gradient at large amplitude.  The callables are
+vectorized: given an int array of node labels ``nodes[K]`` and the blocks
+``Z[K, 2N]`` of a whole window, one call returns R, grad R and the Hessian of
+every node as arrays of shape [K], [K, 2N] and [K, 2N, 2N].  A scalar n with a
+single block z is the K-less case of the same call, and further leading axes
+broadcast the same way, so the solver, the verifier and the checker make one
+call per window or sample grid instead of one per node.
+
+The built-in families are radial (functions of r = |z|^2 only):
 
 * radial_rational:  R = (nu/2) r^2 / (1 + r),     grad = nu (r^2 + 2r)/(1+r)^2 z
 * log_saturating:   R = (nu/2) (r - log(1 + r)),  grad = nu r/(1+r) z
@@ -44,17 +51,25 @@ INCONCLUSIVE = "inconclusive"
 class Nonlinearity:
     """Node-wise interaction term R(n, z) with gradient and asymptotic data.
 
-    ``value`` and ``gradient`` take the node label n and a 2N-vector z; they
-    must be T-periodic in n, vanish at z = 0, and be pure reentrant functions.
-    ``hessian`` is optional; solvers fall back to finite differences.
+    ``value``, ``gradient`` and ``hessian`` take node labels n and blocks z and
+    broadcast over leading axes.  With an int array ``nodes`` of shape [K] and
+    ``Z`` of shape [K, 2N] they return arrays of shape [K], [K, 2N] and
+    [K, 2N, 2N], row i belonging to node ``nodes[i]``; a scalar n with a 1-D
+    z of length 2N gives a scalar, a 2N-vector and a 2N x 2N matrix.  Node
+    labels are lattice integers, not reduced modulo the period, so n-dependent
+    terms index their per-node data with ``n % period``.
+
+    The callables must be T-periodic in n, vanish at z = 0, and be pure
+    reentrant functions.  ``hessian`` is optional; solvers fall back to
+    finite differences of the gradient.
     """
 
     block_dim: int
     period: int
-    value: Callable[[int, np.ndarray], float]
-    gradient: Callable[[int, np.ndarray], np.ndarray]
+    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
     s_infinity: np.ndarray
-    hessian: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
+    hessian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     label: str = "custom"
     lambda_infinity: float = field(init=False)
 
@@ -63,6 +78,8 @@ class Nonlinearity:
         expected = (self.period, 2 * self.block_dim, 2 * self.block_dim)
         if s_inf.shape != expected:
             raise ValueError(f"s_infinity must have shape {expected}, got {s_inf.shape}")
+        if not np.isfinite(s_inf).all():
+            raise ValueError("s_infinity must be finite")
         for n, s in enumerate(s_inf):
             if np.abs(s - s.T).max() > SYMMETRY_TOL:
                 raise ValueError(f"s_infinity[{n}] is not symmetric")
@@ -73,43 +90,59 @@ class Nonlinearity:
             "lambda_infinity",
             float(min(np.linalg.eigvalsh(s)[0] for s in s_inf)),
         )
-        origin = np.zeros(2 * self.block_dim)
-        for n in range(self.period):
-            if abs(self.value(n, origin)) > ORIGIN_TOL:
-                raise ValueError(f"value({n}, 0) = {self.value(n, origin)!r}, expected 0")
-            g0 = np.asarray(self.gradient(n, origin), dtype=float)
-            if np.abs(g0).max() > ORIGIN_TOL:
-                raise ValueError(f"gradient({n}, 0) is nonzero")
+        nodes = np.arange(self.period)
+        origin = np.zeros((self.period, 2 * self.block_dim))
+        v0 = np.broadcast_to(np.asarray(self.value(nodes, origin), dtype=float), nodes.shape)
+        bad = np.flatnonzero(~(np.abs(v0) <= ORIGIN_TOL))
+        if bad.size:
+            n = int(bad[0])
+            raise ValueError(f"value({n}, 0) = {float(v0[n])!r}, expected 0")
+        g0 = np.broadcast_to(np.asarray(self.gradient(nodes, origin), dtype=float), origin.shape)
+        bad = np.flatnonzero(~(np.abs(g0).max(axis=1) <= ORIGIN_TOL))
+        if bad.size:
+            raise ValueError(f"gradient({int(bad[0])}, 0) is nonzero")
 
 
-def eval_tildeR(nl: Nonlinearity, n: int, z: np.ndarray) -> float:
-    """The density (1/2) grad R(n,z) . z - R(n,z); vanishes for quadratic R."""
+def eval_tildeR(nl: Nonlinearity, n, z: np.ndarray):
+    """The density (1/2) grad R(n,z) . z - R(n,z); vanishes for quadratic R.
+
+    Broadcasts like the nonlinearity callables: ``nodes[K]`` with ``Z[K, 2N]``
+    gives the [K] densities of a whole window, a scalar n with one block gives
+    one value.
+    """
     z = np.asarray(z, dtype=float)
-    return 0.5 * float(np.dot(nl.gradient(n, z), z)) - nl.value(n, z)
+    return 0.5 * np.vecdot(nl.gradient(n, z), z) - nl.value(n, z)
 
 
 def _radial_family(
     nu: float,
     block_dim: int,
     label: str,
-    f: Callable[[float], float],
-    fp: Callable[[float], float],
-    fpp: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
+    fp: Callable[[np.ndarray], np.ndarray],
+    fpp: Callable[[np.ndarray], np.ndarray],
 ) -> Nonlinearity:
-    """Build a radial nonlinearity R(z) = f(|z|^2) from scalar profiles."""
+    """Build a radial nonlinearity R(z) = f(|z|^2) from elementwise profiles of r.
 
-    def value(n: int, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        return f(float(np.dot(z, z)))
+    |z|^2 is ``np.vecdot`` (the same BLAS dot per row as ``np.dot`` on one
+    block) and the profiles raise powers with ``np.float_power`` (libm ``pow``,
+    as Python ``**`` on floats), so a batched row rounds exactly like the
+    single-node call on that row.
+    """
 
-    def gradient(n: int, z: np.ndarray) -> np.ndarray:
+    def value(n, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        return 2.0 * fp(float(np.dot(z, z))) * z
+        return f(np.vecdot(z, z))
 
-    def hessian(n: int, z: np.ndarray) -> np.ndarray:
+    def gradient(n, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        r = float(np.dot(z, z))
-        return 2.0 * fp(r) * np.eye(z.size) + 4.0 * fpp(r) * np.outer(z, z)
+        return (2.0 * fp(np.vecdot(z, z)))[..., None] * z
+
+    def hessian(n, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        r = np.vecdot(z, z)
+        diag = (2.0 * fp(r))[..., None, None] * np.eye(z.shape[-1])
+        return diag + (4.0 * fpp(r))[..., None, None] * (z[..., :, None] * z[..., None, :])
 
     s_inf = np.tile(nu * np.eye(2 * block_dim), (1, 1, 1))
     return Nonlinearity(
@@ -123,46 +156,50 @@ def _radial_family(
     )
 
 
+def _require_positive(name: str, value: float, allow_zero: bool = False) -> None:
+    """Reject NaN, infinities and values below the family's range."""
+    if not math.isfinite(value) or value < 0 or (value == 0 and not allow_zero):
+        kind = "nonnegative" if allow_zero else "positive"
+        raise ValueError(f"{name} must be finite and {kind}, got {value}")
+
+
 def family_radial_rational(nu: float, block_dim: int = 1) -> Nonlinearity:
     """R = (nu/2) |z|^4 / (1 + |z|^2); asymptotically nu I with remainder nu/(1+r)^2."""
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    _require_positive("nu", nu)
     return _radial_family(
         nu,
         block_dim,
         f"radial_rational(nu={nu:g})",
         f=lambda r: 0.5 * nu * r * r / (1.0 + r),
-        fp=lambda r: 0.5 * nu * (r * r + 2.0 * r) / (1.0 + r) ** 2,
-        fpp=lambda r: nu / (1.0 + r) ** 3,
+        fp=lambda r: 0.5 * nu * (r * r + 2.0 * r) / np.float_power(1.0 + r, 2),
+        fpp=lambda r: nu / np.float_power(1.0 + r, 3),
     )
 
 
 def family_log_saturating(nu: float, block_dim: int = 1) -> Nonlinearity:
     """R = (nu/2) (|z|^2 - log(1 + |z|^2)); asymptotically nu I with remainder nu/(1+r)."""
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    _require_positive("nu", nu)
     return _radial_family(
         nu,
         block_dim,
         f"log_saturating(nu={nu:g})",
-        f=lambda r: 0.5 * nu * (r - math.log1p(r)),
+        f=lambda r: 0.5 * nu * (r - np.log1p(r)),
         fp=lambda r: 0.5 * nu * r / (1.0 + r),
-        fpp=lambda r: 0.5 * nu / (1.0 + r) ** 2,
+        fpp=lambda r: 0.5 * nu / np.float_power(1.0 + r, 2),
     )
 
 
 def family_quadratic(strength: float, block_dim: int = 1) -> Nonlinearity:
     """Pure quadratic R = (c/2)|z|^2; breaks (R2) because |grad R|/|z| = c at 0."""
-    if strength < 0:
-        raise ValueError(f"strength must be nonnegative, got {strength}")
+    _require_positive("strength", strength, allow_zero=True)
     c = float(strength)
     return _radial_family(
         c,
         block_dim,
         f"quadratic(strength={c:g})",
         f=lambda r: 0.5 * c * r,
-        fp=lambda r: 0.5 * c,
-        fpp=lambda r: 0.0,
+        fp=lambda r: np.full_like(r, 0.5 * c),
+        fpp=np.zeros_like,
     )
 
 
@@ -282,16 +319,17 @@ def growth_envelope_constant(
 ) -> dict:
     """Fit the smallest C with |grad R(n,z)| <= eps |z| + C |z|^(p-1) on the plan grid."""
     rng = np.random.default_rng(plan.seed + 1)
-    worst = 0.0
-    for n in range(nl.period):
-        for radius in plan.radii:
-            dirs = rng.standard_normal((plan.directions_per_radius, 2 * nl.block_dim))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            for u in dirs:
-                z = radius * u
-                excess = float(np.linalg.norm(nl.gradient(n, z))) - eps * radius
-                if excess > 0.0:
-                    worst = max(worst, excess / radius ** (p - 1.0))
+    radii = np.asarray(plan.radii, dtype=float)[:, None]
+    # drawn in (node, radius, direction) order
+    dirs = rng.standard_normal(
+        (nl.period, radii.shape[0], plan.directions_per_radius, 2 * nl.block_dim)
+    )
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    nodes = np.arange(nl.period)[:, None, None]
+    g = np.asarray(nl.gradient(nodes, radii[..., None] * dirs), dtype=float)
+    excess = np.sqrt(np.vecdot(g, g)) - eps * radii
+    ratio = excess / np.float_power(radii, p - 1.0)
+    worst = float(ratio[excess > 0.0].max(initial=0.0))
     return {"p": p, "eps": eps, "constant": worst}
 
 
@@ -305,31 +343,26 @@ def _sample_grid(nl: Nonlinearity, plan: SamplingPlan):
     """
     rng = np.random.default_rng(plan.seed)
     radii = np.asarray(plan.radii, dtype=float)
-    n_dirs = plan.directions_per_radius
-    shape = (nl.period, len(radii), n_dirs)
-    r_vals = np.empty(shape)
-    tilde_vals = np.empty(shape)
-    tilde_floor = np.empty(shape)
-    grad_ratio = np.empty(shape)
-    asym_ratio = np.empty(shape)
-    dirs_all = rng.standard_normal((len(radii), n_dirs, 2 * nl.block_dim))
+    dirs_all = rng.standard_normal((len(radii), plan.directions_per_radius, 2 * nl.block_dim))
     dirs_all /= np.linalg.norm(dirs_all, axis=2, keepdims=True)
     eps_guard = 64.0 * np.finfo(float).eps
-    for n in range(nl.period):
-        s_inf = nl.s_infinity[n % nl.period]
-        for i, radius in enumerate(radii):
-            for j in range(n_dirs):
-                z = radius * dirs_all[i, j]
-                g = np.asarray(nl.gradient(n, z), dtype=float)
-                half_gz = 0.5 * float(np.dot(g, z))
-                r_vals[n, i, j] = nl.value(n, z)
-                tilde_vals[n, i, j] = half_gz - r_vals[n, i, j]
-                tilde_floor[n, i, j] = eps_guard * (
-                    1.0 + abs(half_gz) + abs(r_vals[n, i, j])
-                )
-                grad_ratio[n, i, j] = np.linalg.norm(g) / radius
-                asym_ratio[n, i, j] = np.linalg.norm(g - s_inf @ z) / radius
+    nodes, z = _grid_points(nl, radii, dirs_all)
+    g = np.asarray(nl.gradient(nodes, z), dtype=float)
+    r_vals = np.asarray(nl.value(nodes, z), dtype=float)
+    tilde_vals = np.asarray(eval_tildeR(nl, nodes, z), dtype=float)
+    half_gz = 0.5 * np.vecdot(g, z)
+    tilde_floor = eps_guard * (1.0 + np.abs(half_gz) + np.abs(r_vals))
+    grad_ratio = np.sqrt(np.vecdot(g, g)) / radii[:, None]
+    s_inf = nl.s_infinity[:, None, None]
+    asym = g - (s_inf @ z[..., None])[..., 0]
+    asym_ratio = np.sqrt(np.vecdot(asym, asym)) / radii[:, None]
     return radii, dirs_all, r_vals, tilde_vals, tilde_floor, grad_ratio, asym_ratio
+
+
+def _grid_points(nl: Nonlinearity, radii: np.ndarray, dirs: np.ndarray):
+    """Node labels [T, 1, 1] and samples z[T, radii, dirs, 2N] = radius * direction."""
+    z = radii[:, None, None] * dirs
+    return np.arange(nl.period)[:, None, None], np.broadcast_to(z, (nl.period,) + z.shape)
 
 
 def _worst_witness(
@@ -374,18 +407,15 @@ def check_hypotheses(
     )
 
     # (R1): periodicity in n on a thinned subsample.
-    worst_period = 0.0
-    origin_shift = nl.period
-    for n in range(nl.period):
-        for i in range(0, len(radii), 4):
-            for j in range(0, plan.directions_per_radius, 8):
-                z = radii[i] * dirs_all[i, j]
-                scale = max(1.0, abs(nl.value(n, z)))
-                dv = abs(nl.value(n + origin_shift, z) - nl.value(n, z)) / scale
-                gn = np.asarray(nl.gradient(n, z), dtype=float)
-                gshift = np.asarray(nl.gradient(n + origin_shift, z), dtype=float)
-                dg = float(np.abs(gshift - gn).max()) / max(1.0, float(np.abs(gn).max()))
-                worst_period = max(worst_period, dv, dg)
+    nodes, z = _grid_points(nl, radii[::4], dirs_all[::4, ::8])
+    shifted = nodes + nl.period
+    v = np.asarray(nl.value(nodes, z), dtype=float)
+    dv = np.abs(np.asarray(nl.value(shifted, z), dtype=float) - v) / np.maximum(1.0, np.abs(v))
+    g = np.asarray(nl.gradient(nodes, z), dtype=float)
+    g_shift = np.asarray(nl.gradient(shifted, z), dtype=float)
+    dg = np.abs(g_shift - g).max(axis=-1) / np.maximum(1.0, np.abs(g).max(axis=-1))
+    # np.max propagates NaN, so a non-finite residual fails the check
+    worst_period = float(np.max(np.concatenate([dv.ravel(), dg.ravel()]), initial=0.0))
     if worst_period <= plan.periodicity_tol:
         checks["R1"] = HypothesisCheck(
             PASS, f"periodicity residual {worst_period:.3e} within {plan.periodicity_tol:.0e}"

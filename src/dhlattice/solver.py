@@ -173,44 +173,44 @@ def initial_guess(
     raise ConfigurationError(f"unknown start strategy {strategy!r}")
 
 
-def _node_hessians(ctx: FunctionalContext, x: BlockVector) -> list[np.ndarray]:
+def _node_hessians(ctx: FunctionalContext, x: BlockVector) -> np.ndarray:
+    """Hessian blocks [K, 2N, 2N] of R along the window, from batched calls.
+
+    Without an analytic Hessian, central differences of the gradient cost 2N
+    batched gradient calls, one per coordinate direction.
+    """
     nl = ctx.nl
+    nodes = ctx.window.nodes
+    z = x.entries
+    if nl.hessian is not None:
+        return np.asarray(nl.hessian(nodes, z), dtype=float)
     n2 = 2 * x.block_dim
-    blocks = []
-    for i, n in enumerate(ctx.window.nodes):
-        n = int(n)
-        z = x.entries[i]
-        if nl.hessian is not None:
-            blocks.append(np.asarray(nl.hessian(n, z), dtype=float))
-            continue
-        h = 1e-6 * (1.0 + float(np.linalg.norm(z)))
-        cols = np.empty((n2, n2))
-        for j in range(n2):
-            zp = z.copy()
-            zm = z.copy()
-            zp[j] += h
-            zm[j] -= h
-            cols[:, j] = (
-                np.asarray(nl.gradient(n, zp), float) - np.asarray(nl.gradient(n, zm), float)
-            ) / (2.0 * h)
-        blocks.append(0.5 * (cols + cols.T))
-    return blocks
+    h = 1e-6 * (1.0 + np.sqrt(np.vecdot(z, z)))
+    cols = np.empty((len(nodes), n2, n2))
+    for j in range(n2):
+        zp = z.copy()
+        zm = z.copy()
+        zp[:, j] += h
+        zm[:, j] -= h
+        cols[:, :, j] = (
+            np.asarray(nl.gradient(nodes, zp), float) - np.asarray(nl.gradient(nodes, zm), float)
+        ) / (2.0 * h)[:, None]
+    return 0.5 * (cols + cols.transpose(0, 2, 1))
 
 
-def _jacobian(op: TruncatedOperator, hess_blocks: list[np.ndarray]):
+def _jacobian(op: TruncatedOperator, hess_blocks: np.ndarray):
     n2 = 2 * op.block_dim
     if op.storage == "dense":
         jac = op.matrix.copy()
-        for i, blk in enumerate(hess_blocks):
-            base = i * n2
-            jac[base : base + n2, base : base + n2] -= blk
+        # view as [node, row, node, col] and subtract along the block diagonal
+        count = len(hess_blocks)
+        idx = np.arange(count)
+        jac.reshape(count, n2, count, n2)[idx, :, idx, :] -= hess_blocks
         return jac
     bands = op.bands.copy()
-    for i, blk in enumerate(hess_blocks):
-        base = i * n2
-        for a in range(n2):
-            for b in range(a, n2):
-                bands[b - a, base + a] -= blk[b, a]
+    for a in range(n2):
+        for b in range(a, n2):
+            bands[b - a, a::n2] -= hess_blocks[:, b, a]
     return bands
 
 

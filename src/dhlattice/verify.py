@@ -34,8 +34,8 @@ from .core import (
     lp_norm,
     reembed,
 )
-from .functional import FunctionalContext, Phi
-from .nonlinearity import Nonlinearity, eval_tildeR
+from .functional import FunctionalContext, Phi, tildeR_sum
+from .nonlinearity import Nonlinearity
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,18 @@ def residual_DHS(
     if x.window.boundary is not Boundary.ZERO_PAD:
         raise ValueError("the difference-equation residual is defined on zero-pad windows")
     n_blk = x.block_dim
-    res = np.empty_like(x.entries)
-    for i, n in enumerate(x.window.nodes):
-        n = int(n)
-        z = x.entries[i]
-        grad_h = coeffs.matrix_at(n) @ z + np.asarray(nl.gradient(n, z), dtype=float)
-        x_next = x.block(n + 1)
-        x_prev = x.block(n - 1)
-        res[i, :n_blk] = x_next[:n_blk] - z[:n_blk] + grad_h[n_blk:]
-        res[i, n_blk:] = z[n_blk:] - x_prev[n_blk:] - grad_h[:n_blk]
+    z = x.entries
+    nodes = x.window.nodes
+    per_node = coeffs.matrices[nodes % coeffs.period]
+    grad_h = (per_node @ z[:, :, None])[:, :, 0] + np.asarray(nl.gradient(nodes, z), dtype=float)
+    # x(n + 1) and x(n - 1), zero outside the window
+    x_next = np.zeros_like(z)
+    x_next[:-1] = z[1:]
+    x_prev = np.zeros_like(z)
+    x_prev[1:] = z[:-1]
+    res = np.empty_like(z)
+    res[:, :n_blk] = x_next[:, :n_blk] - z[:, :n_blk] + grad_h[:, n_blk:]
+    res[:, n_blk:] = z[:, n_blk:] - x_prev[:, n_blk:] - grad_h[:, :n_blk]
     res_inf = float(np.linalg.norm(res, axis=1).max(initial=0.0))
     return res, res_inf
 
@@ -132,10 +135,7 @@ def decay_fit(x: BlockVector, tail_fraction: float = 0.25) -> DecayFit:
 
 def energy_identity_check(ctx: FunctionalContext, x: BlockVector) -> float:
     """|Phi(x) - sum_n tildeR(n, x(n))|; small at (approximately) critical points."""
-    tilde_sum = float(
-        sum(eval_tildeR(ctx.nl, int(n), x.entries[i]) for i, n in enumerate(ctx.window.nodes))
-    )
-    return abs(Phi(ctx, x) - tilde_sum)
+    return abs(Phi(ctx, x) - tildeR_sum(ctx, x))
 
 
 def window_stability(

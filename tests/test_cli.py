@@ -107,6 +107,23 @@ class TestCheckCommand:
         assert code == EXIT_CONFIG_ERROR
         assert "error" in report
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"family": "radial_rational", "nu": float("nan")},
+            {"family": "log_saturating", "nu": float("inf")},
+            {"family": "quadratic", "strength": float("nan")},
+        ],
+    )
+    def test_non_finite_parameter_exits_two(self, capsys, tmp_path, params):
+        raw = json.loads(builtin_config_path("model").read_text())
+        raw["nonlinearity"] = params
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(raw))  # writes the NaN / Infinity literals
+        code, report = run_cli(capsys, "check", "--config", str(path))
+        assert code == EXIT_CONFIG_ERROR
+        assert "finite" in report["error"]
+
     def test_bad_dimensions_exit_two(self, capsys, tmp_path):
         raw = {"block_dim": 1, "period": 2, "matrices": [[0.0, -1.0, -1.0, 0.0]]}
         path = tmp_path / "dims.json"

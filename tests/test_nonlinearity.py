@@ -140,6 +140,40 @@ class TestLogSaturating:
             family_log_saturating(-2.0)
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "factory", [family_radial_rational, family_log_saturating, family_quadratic]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_families_reject(self, factory, bad):
+        with pytest.raises(ValueError, match="finite"):
+            factory(bad)
+
+    def test_quadratic_accepts_zero(self):
+        assert family_quadratic(0.0).lambda_infinity == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_s_infinity_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Nonlinearity(
+                block_dim=1,
+                period=1,
+                value=lambda n, z: 0.0,
+                gradient=lambda n, z: np.zeros(2),
+                s_infinity=np.full((1, 2, 2), bad),
+            )
+
+    def test_nan_at_origin_rejected(self):
+        with pytest.raises(ValueError, match="value"):
+            Nonlinearity(
+                block_dim=1,
+                period=1,
+                value=lambda n, z: math.nan,
+                gradient=lambda n, z: np.zeros(2),
+                s_infinity=np.zeros((1, 2, 2)),
+            )
+
+
 class TestNonlinearityInvariants:
     def test_origin_enforced(self):
         with pytest.raises(ValueError, match="value"):
@@ -220,11 +254,11 @@ class TestCheckHypotheses:
     def test_periodicity_violation_detected(self):
         def value(n, z):
             z = np.asarray(z)
-            return (1.0 + (n % 2)) * float(z @ z) ** 2
+            return (1.0 + (n % 2)) * np.vecdot(z, z) ** 2
 
         def gradient(n, z):
             z = np.asarray(z)
-            return (1.0 + (n % 2)) * 4.0 * float(z @ z) * z
+            return ((1.0 + (n % 2)) * 4.0 * np.vecdot(z, z))[..., None] * z
 
         nl = Nonlinearity(
             block_dim=1,
