@@ -12,7 +12,6 @@ from .core import (
     NumericalError,
     PeriodicCoefficients,
     SpectralGapError,
-    StructureMatrices,
     Window,
     coupling_matrix,
     l2_inner,
@@ -40,7 +39,6 @@ from .operators import (
     apply_A,
     apply_S,
     assemble,
-    coercivity_bounds,
     floquet_symbol,
 )
 from .spectral import (

@@ -178,14 +178,16 @@ class ProblemConfig:
             raise ConfigError(str(exc)) from exc
 
     def build_window(self, half_width: Optional[int] = None) -> Window:
+        """The zero-pad window that solve and verify run on."""
+        if self.window.get("boundary", "zero_pad") != Boundary.ZERO_PAD.value:
+            raise ConfigError(
+                "solve and verify need window.boundary zero_pad; periodic windows "
+                "serve the spectrum command's crosscheck only"
+            )
         half = int(half_width if half_width is not None else self.window.get("half_width", 64))
-        boundary = Boundary(self.window.get("boundary", "zero_pad"))
         num_nodes = self.window.get("num_nodes")
-        if boundary is Boundary.PERIODIC and num_nodes is None:
-            # round the symmetric count up to the nearest multiple of the period
-            num_nodes = -(-(2 * half + 1) // self.period) * self.period
         try:
-            return Window(half, boundary, int(num_nodes) if num_nodes else None)
+            return Window(half, Boundary.ZERO_PAD, int(num_nodes) if num_nodes else None)
         except ConfigurationError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -200,26 +202,32 @@ class ProblemConfig:
     def build_solve_options(self, seed: Optional[int] = None) -> SolveOptions:
         raw = dict(self.solver)
         starts_raw = raw.pop("starts", None)
-        if starts_raw is None:
-            starts = default_starts()
-        else:
-            starts = tuple(
-                StartStrategy(
-                    kind=s["kind"],
-                    amplitude=float(s.get("amplitude", 1.0)),
-                    width=float(s["width"]) if s.get("width") is not None else None,
-                )
-                for s in starts_raw
-            )
         if seed is not None:
             raw["seed"] = seed
         allowed = {"max_iter", "grad_tol", "trivial_tol", "damping_shrink", "armijo", "seed"}
         unknown = set(raw) - allowed
         if unknown:
             raise ConfigError(f"unknown solver fields: {sorted(unknown)}")
+        if starts_raw is not None and not (
+            isinstance(starts_raw, list)
+            and starts_raw
+            and all(isinstance(s, dict) for s in starts_raw)
+        ):
+            raise ConfigError("solver.starts must be a non-empty list of objects")
         try:
+            if starts_raw is None:
+                starts = default_starts()
+            else:
+                starts = tuple(
+                    StartStrategy(
+                        kind=s.get("kind"),
+                        amplitude=float(s.get("amplitude", 1.0)),
+                        width=float(s["width"]) if s.get("width") is not None else None,
+                    )
+                    for s in starts_raw
+                )
             return SolveOptions(starts=starts, **raw)
-        except (TypeError, ConfigurationError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"solver options invalid: {exc}") from exc
 
 
@@ -310,6 +318,8 @@ def cmd_check(config: ProblemConfig, seed: Optional[int] = None) -> int:
 def cmd_spectrum(config: ProblemConfig, grid: int, out_dir: Path,
                  half_width: Optional[int] = None) -> int:
     """Write the band CSV plus a summary with the spectral inclusion status."""
+    if grid < 2:
+        raise ConfigError(f"--grid must be at least 2, got {grid}")
     try:
         coeffs = config.build_coefficients()
     except HypothesisViolationError as exc:
@@ -382,6 +392,8 @@ def cmd_solve(
         _emit(_hypothesis_failure_payload(exc))
         return EXIT_CHECK_FAILED
     nl = config.build_nonlinearity()
+    window = config.build_window(half_width)
+    opts = config.build_solve_options(seed)
     check_summary = None
     if not skip_check:
         report = check_hypotheses(nl, coeffs, SamplingPlan.default())
@@ -395,8 +407,6 @@ def cmd_solve(
                 }
             )
             return EXIT_CHECK_FAILED
-    window = config.build_window(half_width)
-    opts = config.build_solve_options(seed)
     ctx = FunctionalContext(assemble(window, coeffs), nl)
     results = multi_start(ctx, opts)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -447,7 +457,6 @@ def cmd_verify(
         thresholds,
         ctx_builder=ctx_builder,
         solve_opts=replace(opts, starts=()),
-        window_check=window.boundary is Boundary.ZERO_PAD,
     )
     payload = report.to_dict()
     payload["orbit_file"] = Path(orbit_path).name

@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
-STRUCTURE_TOL = 1e-14
 
 
 class DimensionMismatchError(ValueError):
@@ -66,27 +65,6 @@ def coupling_matrix(block_dim: int) -> np.ndarray:
     j0[:n, n:] = -np.eye(n)
     j0[n:, :n] = -np.eye(n)
     return j0
-
-
-@dataclass(frozen=True)
-class StructureMatrices:
-    """The pair of constant structure matrices for block dimension N."""
-
-    J: np.ndarray
-    J0: np.ndarray
-
-    @classmethod
-    def for_block_dim(cls, block_dim: int) -> "StructureMatrices":
-        J = symplectic_matrix(block_dim)
-        J0 = coupling_matrix(block_dim)
-        dim = 2 * block_dim
-        if not np.allclose(J @ J, -np.eye(dim), atol=STRUCTURE_TOL):
-            raise ConfigurationError("J^2 != -I")
-        if not np.allclose(J0 @ J0, np.eye(dim), atol=STRUCTURE_TOL):
-            raise ConfigurationError("J0^2 != I")
-        J.flags.writeable = False
-        J0.flags.writeable = False
-        return cls(J=J, J0=J0)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import PeriodicCoefficients, SYMMETRY_TOL
-from .operators import coercivity_bounds
 
 ORIGIN_TOL = 1e-12
 NONNEGATIVITY_TOL = 1e-12
@@ -395,7 +394,7 @@ def check_hypotheses(
     checks: dict[str, HypothesisCheck] = {}
 
     # (R0): exact check on the coefficients.
-    lam0, lam1 = coercivity_bounds(coeffs)
+    lam0, lam1 = coeffs.lambda0, coeffs.Lambda0
     checks["R0"] = HypothesisCheck(
         PASS,
         f"J0*S(n) symmetric positive definite for all n; "

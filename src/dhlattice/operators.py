@@ -11,11 +11,11 @@ self-adjoint for the plain l2 inner product; A has operator norm at most 2 and
 S at most Lambda0, so the sum is bounded by 2 + Lambda0.
 
 The truncated matrix of A + S is assembled in the node-major, block-minor
-basis (x1 components then x2 components within a node), which keeps the
-zero-pad matrix banded with scalar bandwidth 4N - 1.  Windows above
-``BANDED_THRESHOLD`` nodes store the matrix in LAPACK lower-banded form;
-periodic windows are always dense because the wrap-around couplings fill the
-corners.
+basis (x1 components then x2 components within a node).  Storage follows the
+boundary rule: a zero-pad matrix is block-tridiagonal with scalar bandwidth
+4N - 1 and is stored in LAPACK lower-banded form; a periodic matrix is dense,
+because the wrap-around couplings fill its corners.  Periodic windows serve
+spectral certification only; the orbit search runs on zero-pad windows.
 """
 
 from __future__ import annotations
@@ -33,10 +33,7 @@ from .core import (
     DimensionMismatchError,
     PeriodicCoefficients,
     Window,
-    gap_bounds_from_matrices,
 )
-
-BANDED_THRESHOLD = 512
 
 
 def _neighbor(entries: np.ndarray, step: int, boundary: Boundary) -> np.ndarray:
@@ -93,6 +90,7 @@ def _node_blocks(coeffs: PeriodicCoefficients, window: Window):
 
 
 def _assemble_dense(window: Window, coeffs: PeriodicCoefficients) -> np.ndarray:
+    """Dense storage of a periodic window: node 0 couples to node K - 1."""
     diags, c_low = _node_blocks(coeffs, window)
     n2 = 2 * coeffs.block_dim
     count = window.num_nodes
@@ -101,32 +99,24 @@ def _assemble_dense(window: Window, coeffs: PeriodicCoefficients) -> np.ndarray:
     for i, blk in enumerate(diags):
         mat[i * n2 : (i + 1) * n2, i * n2 : (i + 1) * n2] = blk
     for i in range(count):
-        j = i - 1
-        if j < 0:
-            if window.boundary is not Boundary.PERIODIC or count == 1:
-                continue
-            j = count - 1
+        j = (i - 1) % count  # a one-node window couples to itself
         mat[i * n2 : (i + 1) * n2, j * n2 : (j + 1) * n2] += c_low
         mat[j * n2 : (j + 1) * n2, i * n2 : (i + 1) * n2] += c_low.T
     return mat
 
 
 def _assemble_banded(window: Window, coeffs: PeriodicCoefficients) -> np.ndarray:
-    """Lower-banded storage: bands[k, j] = M[j + k, j]."""
+    """Lower-banded storage of a zero-pad window: bands[k, j] = M[j + k, j]."""
     diags, c_low = _node_blocks(coeffs, window)
-    n = coeffs.block_dim
-    n2 = 2 * n
-    count = window.num_nodes
-    dim = count * n2
-    bw = 4 * n - 1
-    bands = np.zeros((bw + 1, dim))
+    n2 = 2 * coeffs.block_dim
+    bands = np.zeros((2 * n2, window.num_nodes * n2))
     for i, blk in enumerate(diags):
         base = i * n2
         for a in range(n2):
             for b in range(a, n2):
                 bands[b - a, base + a] = blk[b, a]
     # M[rows(i+1), cols(i)] = c_low: entry (b, a) sits at offset n2 + b - a
-    for i in range(count - 1):
+    for i in range(window.num_nodes - 1):
         base = i * n2
         for a in range(n2):
             for b in range(n2):
@@ -147,22 +137,20 @@ def lower_band_to_full(bands: np.ndarray) -> np.ndarray:
     bw = bands.shape[0] - 1
     dim = bands.shape[1]
     ab = np.zeros((2 * bw + 1, dim))
-    for k in range(bw + 1):
+    for k in range(min(bw + 1, dim)):
         # lower diagonal k: M[j+k, j] -> ab[bw + k, j]
-        ab[bw + k, : dim - k if k else dim] = bands[k, : dim - k if k else dim]
-        if k:
-            # mirrored upper diagonal: M[j, j+k] -> ab[bw - k, j+k]
-            ab[bw - k, k:] = bands[k, : dim - k]
+        # mirrored upper diagonal: M[j, j+k] -> ab[bw - k, j+k]
+        ab[bw + k, : dim - k] = bands[k, : dim - k]
+        ab[bw - k, k:] = bands[k, : dim - k]
     return ab
 
 
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    """The matrix of A + S on a window, dense or lower-banded."""
+    """The matrix of A + S on a window: ``bands`` on zero-pad, ``matrix`` on periodic."""
 
     window: Window
     coeffs: PeriodicCoefficients
-    storage: str
     matrix: Optional[np.ndarray] = None
     bands: Optional[np.ndarray] = None
     dim: int = field(init=False)
@@ -176,8 +164,13 @@ class TruncatedOperator:
     def block_dim(self) -> int:
         return self.coeffs.block_dim
 
+    @property
+    def storage(self) -> str:
+        """'dense' on periodic windows, 'banded' on zero-pad ones."""
+        return "dense" if self.window.boundary is Boundary.PERIODIC else "banded"
+
     def matvec(self, flat: np.ndarray) -> np.ndarray:
-        if self.storage == "dense":
+        if self.bands is None:
             return self.matrix @ flat
         return banded_matvec(self.bands, flat)
 
@@ -187,46 +180,30 @@ class TruncatedOperator:
         return BlockVector.from_flat(self.window, self.block_dim, self.matvec(x.flat))
 
     def to_dense(self) -> np.ndarray:
-        if self.storage == "dense":
+        if self.bands is None:
             return self.matrix
-        bw = self.bands.shape[0] - 1
         mat = np.zeros((self.dim, self.dim))
-        for k in range(bw + 1):
-            vals = self.bands[k, : self.dim - k] if k else self.bands[0]
+        for k in range(min(self.bands.shape[0], self.dim)):
             idx = np.arange(self.dim - k)
-            mat[idx + k, idx] = vals
-            if k:
-                mat[idx, idx + k] = vals
+            mat[idx + k, idx] = self.bands[k, : self.dim - k]
+            mat[idx, idx + k] = self.bands[k, : self.dim - k]
         return mat
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Full symmetric eigendecomposition, eigenvalues ascending."""
-        if self.storage == "dense":
-            return scipy.linalg.eigh(self.matrix)
-        return scipy.linalg.eig_banded(self.bands, lower=True)
+        return scipy.linalg.eigh(self.to_dense())
 
 
-def assemble(
-    window: Window, coeffs: PeriodicCoefficients, storage: str = "auto"
-) -> TruncatedOperator:
+def assemble(window: Window, coeffs: PeriodicCoefficients) -> TruncatedOperator:
     """Matrix of x -> apply_A(x) + apply_S(x, coeffs) on the window."""
-    if window.boundary is Boundary.PERIODIC and window.num_nodes % coeffs.period:
-        raise ConfigurationError(
-            f"periodic window needs a node count divisible by the period "
-            f"({window.num_nodes} nodes, period {coeffs.period})"
-        )
-    if storage == "auto":
-        use_banded = (
-            window.boundary is Boundary.ZERO_PAD and window.num_nodes > BANDED_THRESHOLD
-        )
-        storage = "banded" if use_banded else "dense"
-    if storage == "banded":
-        if window.boundary is Boundary.PERIODIC:
-            raise ConfigurationError("banded storage requires a zero-pad window")
-        return TruncatedOperator(window, coeffs, "banded", bands=_assemble_banded(window, coeffs))
-    if storage != "dense":
-        raise ConfigurationError(f"unknown storage kind {storage!r}")
-    return TruncatedOperator(window, coeffs, "dense", matrix=_assemble_dense(window, coeffs))
+    if window.boundary is Boundary.PERIODIC:
+        if window.num_nodes % coeffs.period:
+            raise ConfigurationError(
+                f"periodic window needs a node count divisible by the period "
+                f"({window.num_nodes} nodes, period {coeffs.period})"
+            )
+        return TruncatedOperator(window, coeffs, matrix=_assemble_dense(window, coeffs))
+    return TruncatedOperator(window, coeffs, bands=_assemble_banded(window, coeffs))
 
 
 def floquet_symbol(theta: float, coeffs: PeriodicCoefficients) -> np.ndarray:
@@ -257,8 +234,3 @@ def floquet_symbol(theta: float, coeffs: PeriodicCoefficients) -> np.ndarray:
             out[r] -= coeffs.matrix_at(r) @ x[m]
         symbol[:, col] = out.reshape(-1)
     return symbol
-
-
-def coercivity_bounds(coeffs: PeriodicCoefficients) -> tuple[float, float]:
-    """Extreme eigenvalues of J0 S(n) over one period, both positive."""
-    return gap_bounds_from_matrices(coeffs.matrices)

@@ -6,9 +6,11 @@ The root problem is F(x) = (A+S)x - grad R(., x(.)) = 0.  Each step solves
 
 with the assembled operator matrix H0 and the block-diagonal Hessian of the
 interaction sum (the interaction couples nodes only through themselves, so its
-Hessian is one 2N x 2N block per node).  Backtracking damps steps on the
-squared residual norm; a singular Newton matrix is regularized by adding tau I
-with tau doubling on repeats, and if regularized steps keep stalling the
+Hessian is one 2N x 2N block per node).  The search runs on zero-pad windows,
+where the Newton matrix keeps the operator's lower-banded storage and each
+step is one banded LU solve.  Backtracking damps steps on the squared residual
+norm; a singular or ill-conditioned Newton matrix is regularized by adding
+tau I with tau doubling on repeats, and if regularized steps keep stalling the
 iteration falls back to plain descent on (1/2)||F||^2 as a rescue path.
 
 Zero is always a root, so converged points below a smallness threshold are
@@ -26,7 +28,6 @@ misses.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -43,21 +44,35 @@ from .core import (
     shift,
 )
 from .functional import FunctionalContext, Phi
-from .operators import TruncatedOperator, assemble, lower_band_to_full
+from .operators import TruncatedOperator, assemble, banded_matvec, lower_band_to_full
 from .spectral import eigendecompose
 from .verify import VerificationReport, VerifyThresholds, verify_orbit
 
 POLISH_FLOOR = 1e-13
 BACKTRACK_MIN = 2.0**-40
+RCOND_FLOOR = scipy.linalg.lapack.dlamch("E")
+START_KINDS = ("linking", "gaussian", "random")
 
 
 @dataclass(frozen=True)
 class StartStrategy:
     """One initial-guess recipe for the multi-start driver."""
 
-    kind: str  # 'linking' | 'gaussian' | 'random'
+    kind: str  # one of START_KINDS
     amplitude: float
     width: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in START_KINDS:
+            raise ConfigurationError(
+                f"start kind must be one of {list(START_KINDS)}, got {self.kind!r}"
+            )
+        if not 0.0 <= self.amplitude < np.inf:
+            raise ConfigurationError(
+                f"start amplitude must be finite and nonnegative, got {self.amplitude}"
+            )
+        if self.width is not None and not 0.0 < self.width < np.inf:
+            raise ConfigurationError(f"start width must be finite and positive, got {self.width}")
 
     @property
     def tag(self) -> str:
@@ -198,15 +213,9 @@ def _node_hessians(ctx: FunctionalContext, x: BlockVector) -> np.ndarray:
     return 0.5 * (cols + cols.transpose(0, 2, 1))
 
 
-def _jacobian(op: TruncatedOperator, hess_blocks: np.ndarray):
+def _jacobian(op: TruncatedOperator, hess_blocks: np.ndarray) -> np.ndarray:
+    """Lower bands of H0 - HessR(x); the Hessian blocks sit on the block diagonal."""
     n2 = 2 * op.block_dim
-    if op.storage == "dense":
-        jac = op.matrix.copy()
-        # view as [node, row, node, col] and subtract along the block diagonal
-        count = len(hess_blocks)
-        idx = np.arange(count)
-        jac.reshape(count, n2, count, n2)[idx, :, idx, :] -= hess_blocks
-        return jac
     bands = op.bands.copy()
     for a in range(n2):
         for b in range(a, n2):
@@ -214,26 +223,25 @@ def _jacobian(op: TruncatedOperator, hess_blocks: np.ndarray):
     return bands
 
 
-def _solve_linear(op_storage: str, jac, rhs: np.ndarray, tau: float) -> np.ndarray:
-    with warnings.catch_warnings():
-        # an ill-conditioned solve is a retry signal for the caller
-        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-        if op_storage == "dense":
-            mat = jac if tau == 0.0 else jac + tau * np.eye(jac.shape[0])
-            return scipy.linalg.solve(mat, rhs, assume_a="sym")
-        bands = jac if tau == 0.0 else jac.copy()
-        if tau != 0.0:
-            bands[0] += tau
-        bw = bands.shape[0] - 1
-        return scipy.linalg.solve_banded((bw, bw), lower_band_to_full(bands), rhs)
+def _solve_linear(jac: np.ndarray, rhs: np.ndarray, tau: float) -> Optional[np.ndarray]:
+    """Solve (jac + tau I) x = rhs by banded LU; None if singular or ill-conditioned.
 
-
-def _jacobian_matvec(op_storage: str, jac, vec: np.ndarray) -> np.ndarray:
-    if op_storage == "dense":
-        return jac @ vec
-    from .operators import banded_matvec
-
-    return banded_matvec(jac, vec)
+    A reciprocal condition number below machine epsilon, the criterion on
+    which ``scipy.linalg.solve`` warns, is the caller's signal to regularize.
+    """
+    bw = jac.shape[0] - 1
+    full = lower_band_to_full(jac)
+    full[bw] += tau
+    anorm = np.abs(full).sum(axis=0).max()  # 1-norm: band column j is matrix column j
+    ab = np.zeros((3 * bw + 1, jac.shape[1]))  # gbsv keeps bw rows for LU fill-in
+    ab[bw:] = full
+    lu, piv, x, info = scipy.linalg.lapack.dgbsv(bw, bw, ab, rhs, overwrite_ab=1)
+    if info != 0:
+        return None
+    rcond, info = scipy.linalg.lapack.dgbcon(bw, bw, lu, piv, anorm)
+    if info != 0 or not rcond >= RCOND_FLOOR or not np.all(np.isfinite(x)):
+        return None
+    return x
 
 
 def newton_solve(
@@ -252,6 +260,11 @@ def newton_solve(
     entries of the orbit stay meaningful well below the tolerance.
     """
     opts = opts or SolveOptions()
+    if ctx.window.boundary is not Boundary.ZERO_PAD:
+        raise ConfigurationError(
+            "the orbit search runs on zero-pad windows; periodic windows are for "
+            "spectral certification only"
+        )
     ctx._check(x0)
     window = ctx.window
 
@@ -279,19 +292,9 @@ def newton_solve(
         jac = _jacobian(ctx.op, _node_hessians(ctx, bv))
         rhs = -g.reshape(-1)
         tau = 0.0
-        delta = None
         for _ in range(9):
-            try:
-                cand = _solve_linear(ctx.op.storage, jac, rhs, tau)
-            except (
-                scipy.linalg.LinAlgError,
-                scipy.linalg.LinAlgWarning,
-                np.linalg.LinAlgError,
-                ValueError,
-            ):
-                cand = None
-            if cand is not None and np.all(np.isfinite(cand)):
-                delta = cand
+            delta = _solve_linear(jac, rhs, tau)
+            if delta is not None:
                 break
             regularizations += 1
             tau = opts.regularization_tau if tau == 0.0 else 2.0 * tau
@@ -310,8 +313,8 @@ def newton_solve(
             t *= opts.damping_shrink
         if not accepted:
             # rescue path: steepest descent on (1/2)||F||^2, gradient J^T F
-            d = _jacobian_matvec(ctx.op.storage, jac, g.reshape(-1))
-            jd = _jacobian_matvec(ctx.op.storage, jac, d)
+            d = banded_matvec(jac, g.reshape(-1))
+            jd = banded_matvec(jac, d)
             jd_sq = float(np.vdot(jd, jd))
             if jd_sq == 0.0:
                 break
@@ -371,7 +374,6 @@ def newton_solve(
         replace(opts.thresholds, trivial_tol=opts.trivial_tol),
         ctx_builder=ctx_builder,
         solve_opts=inner_opts,
-        window_check=window.boundary is Boundary.ZERO_PAD,
     )
     status = "verified" if report.passed else "unverified"
     return SolveResult(

@@ -10,6 +10,7 @@ per-node reference loop written out below.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -18,6 +19,7 @@ from dhlattice import (
     BlockVector,
     FunctionalContext,
     Psi,
+    TruncatedOperator,
     Window,
     apply_A,
     apply_S,
@@ -158,14 +160,14 @@ def test_window_functions_equal_per_node_loops(case):
 
 
 def test_banded_and_dense_jacobians_agree():
+    # Newton's banded matrix is the operator minus the block-diagonal Hessian
     window = Window.zero_pad(6)
     coeffs = n2_coefficients()
-    ctx = FunctionalContext(assemble(window, coeffs), family_radial_rational(4.0, block_dim=2))
+    op = assemble(window, coeffs)
+    ctx = FunctionalContext(op, family_radial_rational(4.0, block_dim=2))
     rng = np.random.default_rng(7)
     x = BlockVector(window, 2, rng.standard_normal((window.num_nodes, 4)))
     blocks = _node_hessians(ctx, x)
-    dense = _jacobian(assemble(window, coeffs, storage="dense"), blocks)
-    banded_op = assemble(window, coeffs, storage="banded")
-    banded = _jacobian(banded_op, blocks)
-    expanded = type(banded_op)(window, coeffs, "banded", bands=banded).to_dense()
-    assert np.array_equal(dense, expanded)
+    expected = op.to_dense() - scipy.linalg.block_diag(*blocks)
+    banded = _jacobian(op, blocks)
+    assert np.array_equal(TruncatedOperator(window, coeffs, bands=banded).to_dense(), expected)

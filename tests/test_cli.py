@@ -166,6 +166,19 @@ class TestSpectrumCommand:
         assert code == EXIT_OK
         assert len((tmp_path / "bands.csv").read_text().strip().splitlines()) == 3
 
+    @pytest.mark.parametrize("grid", ["1", "0", "-4"])
+    def test_grid_below_two_exits_two(self, capsys, tmp_path, grid):
+        code, report = run_cli(
+            capsys,
+            "spectrum",
+            "--config", str(builtin_config_path("model")),
+            "--grid", grid,
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_CONFIG_ERROR
+        assert "--grid" in report["error"]
+        assert not (tmp_path / "bands.csv").exists()
+
     def test_bands_alias(self, capsys, tmp_path):
         code, summary = run_cli(
             capsys,
@@ -251,6 +264,43 @@ class TestSolveCommand:
         )
         assert code == EXIT_OK
         assert payload["window"]["half_width"] == 24
+
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_periodic_boundary_exits_two(self, capsys, tmp_path, command):
+        raw = json.loads(builtin_config_path("model").read_text())
+        raw["window"]["boundary"] = "periodic"
+        path = tmp_path / "periodic.json"
+        path.write_text(json.dumps(raw))
+        extra = [str(tmp_path / "orbit.csv")] if command == "verify" else []
+        code, report = run_cli(
+            capsys, command, "--config", str(path), "--out", str(tmp_path / "o"), *extra
+        )
+        assert code == EXIT_CONFIG_ERROR
+        assert "zero_pad" in report["error"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "starts",
+        [
+            [{"kind": "annealing", "amplitude": 1.0}],
+            [{"amplitude": 1.0}],
+            [{"kind": "gaussian", "amplitude": -1.0}],
+            ["gaussian"],
+            {"kind": "gaussian"},
+            [],
+        ],
+    )
+    def test_bad_starts_exit_two(self, capsys, tmp_path, starts):
+        raw = json.loads(builtin_config_path("model").read_text())
+        raw["solver"]["starts"] = starts
+        path = tmp_path / "starts.json"
+        path.write_text(json.dumps(raw))
+        code, report = run_cli(
+            capsys, "solve", "--config", str(path), "--out", str(tmp_path / "o")
+        )
+        assert code == EXIT_CONFIG_ERROR
+        assert "solver" in report["error"]
 
 
 class TestVerifyCommand:

@@ -8,12 +8,13 @@ from dhlattice import (
     DimensionMismatchError,
     HypothesisViolationError,
     PeriodicCoefficients,
-    StructureMatrices,
     Window,
+    coupling_matrix,
     l2_inner,
     lp_norm,
     reembed,
     shift,
+    symplectic_matrix,
 )
 from helpers import model_coefficients, random_block_vector
 
@@ -213,9 +214,11 @@ class TestReembed:
 class TestStructureMatrices:
     def test_identities(self):
         for n in (1, 2, 3):
-            sm = StructureMatrices.for_block_dim(n)
-            np.testing.assert_allclose(sm.J @ sm.J, -np.eye(2 * n), atol=1e-14)
-            np.testing.assert_allclose(sm.J0 @ sm.J0, np.eye(2 * n), atol=1e-14)
+            j, j0 = symplectic_matrix(n), coupling_matrix(n)
+            np.testing.assert_array_equal(j @ j, -np.eye(2 * n))
+            np.testing.assert_array_equal(j0 @ j0, np.eye(2 * n))
+            np.testing.assert_array_equal(j.T, -j)
+            np.testing.assert_array_equal(j0.T, j0)
 
 
 class TestPeriodicCoefficients:

@@ -11,12 +11,13 @@ from dhlattice import (
     apply_A,
     apply_S,
     assemble,
-    coercivity_bounds,
     floquet_symbol,
     l2_inner,
     lp_norm,
 )
+from dhlattice.core import gap_bounds_from_matrices
 from helpers import (
+    MODEL_MATRICES,
     model_coefficients,
     n2_coefficients,
     period2_coefficients,
@@ -171,35 +172,49 @@ class TestAssemble:
             assemble(Window(3, Boundary.PERIODIC), period2_coefficients())  # 7 nodes
 
 
+def reference_matrix(window, coeffs):
+    """Columns are apply_A + apply_S on the unit vectors of the window."""
+    dim = window.num_nodes * 2 * coeffs.block_dim
+    cols = []
+    for e in np.eye(dim):
+        x = BlockVector.from_flat(window, coeffs.block_dim, e)
+        cols.append((apply_A(x).entries + apply_S(x, coeffs).entries).reshape(-1))
+    return np.column_stack(cols)
+
+
 class TestBandedStorage:
     def test_banded_matches_dense(self):
         rng = np.random.default_rng(16)
         coeffs = n2_coefficients()
         w = Window.zero_pad(9)
-        dense_op = assemble(w, coeffs, storage="dense")
-        banded_op = assemble(w, coeffs, storage="banded")
-        np.testing.assert_allclose(banded_op.to_dense(), dense_op.matrix, atol=TOL)
+        op = assemble(w, coeffs)
+        assert op.storage == "banded" and op.matrix is None
+        reference = reference_matrix(w, coeffs)
+        np.testing.assert_array_equal(op.to_dense(), reference)
         for _ in range(10):
-            v = rng.standard_normal(dense_op.dim)
-            np.testing.assert_allclose(banded_op.matvec(v), dense_op.matvec(v), atol=1e-10)
-        wd, _ = dense_op.eigh()
-        wb, vb = banded_op.eigh()
-        np.testing.assert_allclose(wb, wd, atol=1e-9)
+            v = rng.standard_normal(op.dim)
+            np.testing.assert_allclose(op.matvec(v), reference @ v, atol=1e-10)
+        wb, vb = op.eigh()
+        np.testing.assert_allclose(wb, np.linalg.eigvalsh(reference), atol=1e-9)
         np.testing.assert_allclose(
-            np.linalg.norm(banded_op.to_dense() @ vb - vb * wb, axis=0),
-            np.zeros(dense_op.dim),
-            atol=1e-9,
+            np.linalg.norm(reference @ vb - vb * wb, axis=0), np.zeros(op.dim), atol=1e-9
         )
 
-    def test_auto_threshold(self):
-        coeffs = model_coefficients()
-        assert assemble(Window.zero_pad(10), coeffs).storage == "dense"
-        big = Window.zero_pad(260)  # 521 nodes > 512
-        assert assemble(big, coeffs).storage == "banded"
-
-    def test_periodic_banded_rejected(self):
-        with pytest.raises(ConfigurationError):
-            assemble(Window.periodic(8), model_coefficients(), storage="banded")
+    @pytest.mark.parametrize(
+        "coeffs_fn", [model_coefficients, period2_coefficients, n2_coefficients]
+    )
+    def test_storage_follows_boundary(self, coeffs_fn):
+        coeffs = coeffs_fn()
+        for w in (Window.zero_pad(0), Window.zero_pad(1), Window.zero_pad(7)):
+            op = assemble(w, coeffs)
+            assert op.storage == "banded" and op.matrix is None
+            np.testing.assert_array_equal(op.to_dense(), reference_matrix(w, coeffs))
+        for cells in (1, 2, 5):
+            w = Window.periodic_cells(coeffs.period, cells)
+            op = assemble(w, coeffs)
+            assert op.storage == "dense" and op.bands is None
+            # one or two cells add both wrap-around couplings onto one block
+            np.testing.assert_allclose(op.to_dense(), reference_matrix(w, coeffs), atol=TOL)
 
 
 class TestFloquetSymbol:
@@ -263,12 +278,13 @@ class TestFloquetSymbol:
 
 
 class TestCoercivityBounds:
+    """lambda0 and Lambda0: the extreme eigenvalues of J0 S(n) over one period."""
+
     def test_model(self):
-        assert coercivity_bounds(model_coefficients()) == pytest.approx((1.0, 1.0), abs=TOL)
+        assert gap_bounds_from_matrices(MODEL_MATRICES) == pytest.approx((1.0, 1.0), abs=TOL)
 
     def test_split(self):
-        coeffs = PeriodicCoefficients([[[0.2, -1.0], [-1.0, 0.2]]])
-        lo, hi = coercivity_bounds(coeffs)
+        lo, hi = gap_bounds_from_matrices([[[0.2, -1.0], [-1.0, 0.2]]])
         assert lo == pytest.approx(0.8, abs=TOL)
         assert hi == pytest.approx(1.2, abs=TOL)
 
@@ -276,5 +292,6 @@ class TestCoercivityBounds:
         rng = np.random.default_rng(17)
         for _ in range(10):
             coeffs = random_coefficients(int(rng.integers(1, 4)), int(rng.integers(1, 4)), rng)
-            lo, hi = coercivity_bounds(coeffs)
+            lo, hi = gap_bounds_from_matrices(coeffs.matrices)
             assert 0.0 < lo <= hi
+            assert (lo, hi) == (coeffs.lambda0, coeffs.Lambda0)

@@ -25,9 +25,9 @@ from dhlattice import (
 from helpers import model_coefficients, random_block_vector
 
 
-def model_ctx(half_width=64, storage="auto"):
+def model_ctx(half_width=64):
     return FunctionalContext(
-        assemble(Window.zero_pad(half_width), model_coefficients(), storage=storage),
+        assemble(Window.zero_pad(half_width), model_coefficients()),
         family_radial_rational(4.0),
     )
 
@@ -79,6 +79,15 @@ class TestInitialGuess:
     def test_unknown_strategy(self):
         with pytest.raises(ConfigurationError):
             initial_guess("annealing", model_ctx(8), 1.0)
+
+    @pytest.mark.parametrize(
+        "kind,amplitude,width",
+        [("annealing", 1.0, None), (None, 1.0, None), ("gaussian", -1.0, 2.0),
+         ("gaussian", float("nan"), 2.0), ("gaussian", 1.0, 0.0), ("random", float("inf"), None)],
+    )
+    def test_start_strategy_validated(self, kind, amplitude, width):
+        with pytest.raises(ConfigurationError):
+            StartStrategy(kind, amplitude, width)
 
     def test_action_sign_change_along_linking_ray(self):
         ctx = model_ctx(64).with_decomposition()
@@ -154,33 +163,32 @@ class TestNewtonSolve:
         np.testing.assert_array_equal(runs[0].orbit.entries, runs[1].orbit.entries)
         assert runs[0].phi_value == runs[1].phi_value
 
-    def test_banded_storage_matches_dense(self):
-        dense_ctx = model_ctx(40, storage="dense")
-        banded_ctx = model_ctx(40, storage="banded")
-        opts = SolveOptions()
-        res_d = newton_solve(
-            dense_ctx, initial_guess("gaussian", dense_ctx, 1.0, width=2.0), opts
+    def test_periodic_context_rejected(self):
+        ctx = FunctionalContext(
+            assemble(Window.periodic(16), model_coefficients()), family_radial_rational(4.0)
         )
-        res_b = newton_solve(
-            banded_ctx, initial_guess("gaussian", banded_ctx, 1.0, width=2.0), opts
-        )
-        assert res_d.success and res_b.success
-        np.testing.assert_allclose(res_b.orbit.entries, res_d.orbit.entries, atol=1e-10)
+        x0 = initial_guess("gaussian", ctx, 1.0, width=2.0)
+        with pytest.raises(ConfigurationError, match="zero-pad"):
+            newton_solve(ctx, x0)
+        with pytest.raises(ConfigurationError, match="zero-pad"):
+            multi_start(ctx, SolveOptions(starts=(StartStrategy("linking", 1.0),)))
 
     def test_singular_jacobian_handled(self):
         # quadratic interaction with strength equal to an operator eigenvalue
-        # makes the Newton matrix exactly singular at every iterate
+        # makes the Newton matrix exactly singular at every iterate; on a small
+        # and a large window the banded solve must detect it and regularize
         coeffs = model_coefficients()
-        op = assemble(Window.zero_pad(8), coeffs)
-        lam = eigendecompose(op).eigenvalues[-1]
-        ctx = FunctionalContext(op, family_quadratic(float(lam)))
-        rng = np.random.default_rng(6)
-        x0 = random_block_vector(ctx.window, 1, rng)
-        result = newton_solve(ctx, x0, SolveOptions(max_iter=50))
-        assert result.status in ("trivial", "unverified", "no_convergence")
-        diag = result.diagnostics
-        assert diag["regularizations"] >= 1
-        assert np.isfinite(result.grad_inf_norm)
+        for half_width in (8, 260):
+            op = assemble(Window.zero_pad(half_width), coeffs)
+            lam = eigendecompose(op).eigenvalues[-1]
+            ctx = FunctionalContext(op, family_quadratic(float(lam)))
+            rng = np.random.default_rng(6)
+            x0 = random_block_vector(ctx.window, 1, rng)
+            result = newton_solve(ctx, x0, SolveOptions(max_iter=50))
+            assert result.status in ("trivial", "unverified", "no_convergence")
+            diag = result.diagnostics
+            assert diag["regularizations"] >= 1, half_width
+            assert np.isfinite(result.grad_inf_norm)
 
 
 class TestMultiStart:
