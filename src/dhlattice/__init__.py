@@ -43,12 +43,10 @@ from .operators import (
 )
 from .spectral import (
     BandStructure,
-    GapModeReport,
     SpectralDecomposition,
     band_structure,
     e_norm,
     eigendecompose,
-    gap_mode_report,
     projectors,
 )
 from .solver import (

@@ -282,6 +282,12 @@ class PeriodicCoefficients:
             raise ConfigurationError(
                 f"matrices must have shape (T, 2N, 2N), got {mats.shape}"
             )
+        # NaN passes both the symmetry and the positivity test below
+        bad = np.argwhere(~np.isfinite(mats))
+        if bad.size:
+            raise ConfigurationError(
+                f"matrices[{bad[0, 0]}] holds a non-finite entry {mats[tuple(bad[0])]!r}"
+            )
         for n, s in enumerate(mats):
             if np.abs(s - s.T).max() > SYMMETRY_TOL:
                 raise ConfigurationError(f"matrices[{n}] is not symmetric")

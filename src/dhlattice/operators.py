@@ -16,6 +16,11 @@ boundary rule: a zero-pad matrix is block-tridiagonal with scalar bandwidth
 4N - 1 and is stored in LAPACK lower-banded form; a periodic matrix is dense,
 because the wrap-around couplings fill its corners.  Periodic windows serve
 spectral certification only; the orbit search runs on zero-pad windows.
+
+One builder makes every dense matrix: the nodes closed into a ring, with
+the wrap-around coupling weighted by a phase.  Phase 1 on the window's nodes
+is the periodic matrix; exp(i theta) on the period cell 0..T-1 is the Bloch
+symbol at quasimomentum theta, built for a whole array of theta at once.
 """
 
 from __future__ import annotations
@@ -75,8 +80,8 @@ def apply_S(x: BlockVector, coeffs: PeriodicCoefficients) -> BlockVector:
     return x.with_entries(-np.einsum("kij,kj->ki", per_node, x.entries))
 
 
-def _node_blocks(coeffs: PeriodicCoefficients, window: Window):
-    """Diagonal and neighbor coupling blocks of A + S in the node basis."""
+def _node_blocks(coeffs: PeriodicCoefficients, nodes: np.ndarray):
+    """Diagonal blocks (one per node label) and the neighbor coupling block of A + S."""
     n = coeffs.block_dim
     eye = np.eye(n)
     a_diag = np.zeros((2 * n, 2 * n))
@@ -85,29 +90,38 @@ def _node_blocks(coeffs: PeriodicCoefficients, window: Window):
     # coupling of node m's z1 rows to node m-1's x2 columns
     c_low = np.zeros((2 * n, 2 * n))
     c_low[:n, n:] = -eye
-    diags = [a_diag - coeffs.matrix_at(int(node)) for node in window.nodes]
+    diags = a_diag - coeffs.matrices[np.asarray(nodes) % coeffs.period]
     return diags, c_low
 
 
-def _assemble_dense(window: Window, coeffs: PeriodicCoefficients) -> np.ndarray:
-    """Dense storage of a periodic window: node 0 couples to node K - 1."""
-    diags, c_low = _node_blocks(coeffs, window)
-    n2 = 2 * coeffs.block_dim
-    count = window.num_nodes
-    dim = count * n2
-    mat = np.zeros((dim, dim))
-    for i, blk in enumerate(diags):
-        mat[i * n2 : (i + 1) * n2, i * n2 : (i + 1) * n2] = blk
-    for i in range(count):
-        j = (i - 1) % count  # a one-node window couples to itself
-        mat[i * n2 : (i + 1) * n2, j * n2 : (j + 1) * n2] += c_low
-        mat[j * n2 : (j + 1) * n2, i * n2 : (i + 1) * n2] += c_low.T
+def _ring_matrix(coeffs: PeriodicCoefficients, nodes: np.ndarray, phase) -> np.ndarray:
+    """Dense A + S on consecutive nodes closed into a ring.
+
+    The first node couples to the last through the wrap-around blocks,
+    weighted by conj(phase) and phase.  Phase 1 gives the periodic window's
+    matrix; exp(i theta) on one period cell gives the Bloch symbol.  An array
+    of phases gives one matrix per entry, stacked along leading axes.
+    """
+    phase = np.asarray(phase)
+    diags, c_low = _node_blocks(coeffs, nodes)
+    count, n2 = diags.shape[0], diags.shape[1]
+    idx = np.arange(count)
+    # mat[g, i, :, j, :] is block (i, j) of the g-th matrix
+    mat = np.zeros((phase.size, count, n2, count, n2), dtype=np.result_type(phase, float))
+    mat[:, idx, :, idx, :] = diags[:, None]
+    mat[:, idx[1:], :, idx[:-1], :] = c_low
+    mat[:, idx[:-1], :, idx[1:], :] = c_low.T
+    mat = mat.reshape(phase.shape + (count * n2, count * n2))
+    # node 0's left neighbor is the last node of the previous cell; on one
+    # node both wrap-around blocks land on the diagonal block
+    mat[..., :n2, -n2:] += np.conj(phase)[..., None, None] * c_low
+    mat[..., -n2:, :n2] += phase[..., None, None] * c_low.T
     return mat
 
 
 def _assemble_banded(window: Window, coeffs: PeriodicCoefficients) -> np.ndarray:
     """Lower-banded storage of a zero-pad window: bands[k, j] = M[j + k, j]."""
-    diags, c_low = _node_blocks(coeffs, window)
+    diags, c_low = _node_blocks(coeffs, window.nodes)
     n2 = 2 * coeffs.block_dim
     bands = np.zeros((2 * n2, window.num_nodes * n2))
     for i, blk in enumerate(diags):
@@ -202,35 +216,20 @@ def assemble(window: Window, coeffs: PeriodicCoefficients) -> TruncatedOperator:
                 f"periodic window needs a node count divisible by the period "
                 f"({window.num_nodes} nodes, period {coeffs.period})"
             )
-        return TruncatedOperator(window, coeffs, matrix=_assemble_dense(window, coeffs))
+        return TruncatedOperator(window, coeffs, matrix=_ring_matrix(coeffs, window.nodes, 1.0))
     return TruncatedOperator(window, coeffs, bands=_assemble_banded(window, coeffs))
 
 
-def floquet_symbol(theta: float, coeffs: PeriodicCoefficients) -> np.ndarray:
+def floquet_symbol(theta, coeffs: PeriodicCoefficients) -> np.ndarray:
     """Bloch symbol of A + S at quasimomentum theta.
 
     Restricts the operator to sequences with x(n + T) = exp(i theta) x(n) and
-    expresses it on one period cell, giving a Hermitian matrix of size 2NT
-    whose eigenvalues over theta in [0, 2pi) sweep out the full-lattice
-    spectrum.  Assembled numerically by applying the node-wise operator to the
-    canonical cell basis on three consecutive cells.
+    expresses it on the period cell of nodes 0..T-1, giving a Hermitian matrix
+    of size 2NT whose eigenvalues over theta in [0, 2pi) sweep out the
+    full-lattice spectrum.  It is the cell's ring matrix with the wrap-around
+    coupling weighted by exp(-i theta) (row node 0, column node T-1) and its
+    conjugate.  A scalar theta gives one (2NT, 2NT) matrix; an array of shape
+    (G,) gives a (G, 2NT, 2NT) stack.
     """
-    t = coeffs.period
-    n = coeffs.block_dim
-    n2 = 2 * n
-    dim = t * n2
-    phase = np.exp(1j * float(theta))
-    symbol = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        cell = np.zeros((t, n2), dtype=complex)
-        cell[col // n2, col % n2] = 1.0
-        x = np.vstack([cell / phase, cell, cell * phase])  # nodes -T .. 2T-1
-        x1, x2 = x[:, :n], x[:, n:]
-        out = np.empty((t, n2), dtype=complex)
-        for r in range(t):
-            m = t + r  # row of node r in the 3-cell stack
-            out[r, :n] = x2[m] - x2[m - 1]
-            out[r, n:] = x1[m] - x1[m + 1]
-            out[r] -= coeffs.matrix_at(r) @ x[m]
-        symbol[:, col] = out.reshape(-1)
-    return symbol
+    theta = np.asarray(theta, dtype=float)
+    return _ring_matrix(coeffs, np.arange(coeffs.period), np.exp(1j * theta))

@@ -5,8 +5,8 @@ The splitting separates eigenvectors with negative and positive eigenvalues.
 On periodic windows the truncation is spectrally exact (every eigenvalue is a
 Bloch symbol sample), so the gap (-lambda0, lambda0) is certified free of
 eigenvalues.  Zero-pad truncation can create boundary-localized modes inside
-the gap; those are truncation artifacts and are surfaced by gap_mode_report
-rather than treated as spectrum.
+the gap; those are truncation artifacts, not spectrum.  The band structure
+is one batched eigenvalue call on the stack of Bloch symbols over the grid.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     BlockVector,
-    Boundary,
     DimensionMismatchError,
     NumericalError,
     PeriodicCoefficients,
@@ -40,10 +39,6 @@ class SpectralDecomposition:
     split_index: int
     lambda0: float
     Lambda0: float
-
-    @property
-    def boundary(self) -> Boundary:
-        return self.window.boundary
 
     def coords(self, x: BlockVector) -> np.ndarray:
         """Coordinates of x in the orthonormal eigenbasis."""
@@ -116,14 +111,6 @@ class BandStructure:
     lambda0: float
     Lambda0: float
 
-    @property
-    def band_min(self) -> float:
-        return float(self.bands.min())
-
-    @property
-    def band_max(self) -> float:
-        return float(self.bands.max())
-
     def extrema(self) -> dict[str, float]:
         """Extreme band values split by sign."""
         neg = self.bands[self.bands < 0.0]
@@ -143,81 +130,7 @@ def band_structure(coeffs: PeriodicCoefficients, grid_size: int) -> BandStructur
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    bands = np.empty((grid_size, 2 * coeffs.block_dim * coeffs.period))
-    for j, theta in enumerate(thetas):
-        bands[j] = np.linalg.eigvalsh(floquet_symbol(theta, coeffs))
+    bands = np.linalg.eigvalsh(floquet_symbol(thetas, coeffs))
     return BandStructure(
         thetas=thetas, bands=bands, lambda0=coeffs.lambda0, Lambda0=coeffs.Lambda0
-    )
-
-
-@dataclass(frozen=True)
-class GapMode:
-    index: int
-    eigenvalue: float
-    boundary_mass_fraction: float
-
-
-@dataclass(frozen=True, eq=False)
-class GapModeReport:
-    """Eigenvalues found inside the spectral gap of a truncated operator.
-
-    Periodic truncation cannot place eigenvalues in the gap, so its report is
-    empty by construction.  Under zero padding each entry carries the fraction
-    of eigenvector mass within ``boundary_layer`` nodes of either window edge,
-    which identifies the mode as a truncation artifact when close to 1.
-    """
-
-    modes: tuple[GapMode, ...]
-    lambda0: float
-    boundary: Boundary
-    num_nodes: int
-    tol: float
-    boundary_layer: int
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda0": self.lambda0,
-            "boundary": self.boundary.value,
-            "num_nodes": self.num_nodes,
-            "tol": self.tol,
-            "boundary_layer": self.boundary_layer,
-            "modes": [
-                {
-                    "index": m.index,
-                    "eigenvalue": m.eigenvalue,
-                    "boundary_mass_fraction": m.boundary_mass_fraction,
-                }
-                for m in self.modes
-            ],
-        }
-
-
-def gap_mode_report(
-    dec: SpectralDecomposition, tol: float = 1e-9, boundary_layer: int = 5
-) -> GapModeReport:
-    """List eigenvalues inside (-lambda0 + tol, lambda0 - tol) with edge-mass data."""
-    modes: list[GapMode] = []
-    if dec.boundary is not Boundary.PERIODIC:
-        count = dec.window.num_nodes
-        layer = min(boundary_layer, count)
-        inside = np.nonzero(np.abs(dec.eigenvalues) < dec.lambda0 - tol)[0]
-        for idx in inside:
-            vec = dec.eigenvectors[:, idx].reshape(count, 2 * dec.block_dim)
-            mass = np.sum(vec * vec, axis=1)
-            edge = mass[:layer].sum() + (mass[-layer:].sum() if count > layer else 0.0)
-            modes.append(
-                GapMode(
-                    index=int(idx),
-                    eigenvalue=float(dec.eigenvalues[idx]),
-                    boundary_mass_fraction=float(edge / mass.sum()),
-                )
-            )
-    return GapModeReport(
-        modes=tuple(modes),
-        lambda0=dec.lambda0,
-        boundary=dec.boundary,
-        num_nodes=dec.window.num_nodes,
-        tol=tol,
-        boundary_layer=boundary_layer,
     )

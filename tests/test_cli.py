@@ -124,6 +124,22 @@ class TestCheckCommand:
         assert code == EXIT_CONFIG_ERROR
         assert "finite" in report["error"]
 
+    @pytest.mark.parametrize("command", ["check", "spectrum", "solve", "verify"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_matrix_exits_two(self, capsys, tmp_path, command, bad):
+        raw = json.loads(builtin_config_path("model").read_text())
+        raw["matrices"] = [[bad, -1.0, -1.0, 0.0]]
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(raw))  # writes the NaN / Infinity literals
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "verify":
+            argv.append(str(tmp_path / "orbit.csv"))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG_ERROR
+        assert "non-finite" in json.loads(captured.out)["error"]
+        assert captured.err == ""
+
     def test_bad_dimensions_exit_two(self, capsys, tmp_path):
         raw = {"block_dim": 1, "period": 2, "matrices": [[0.0, -1.0, -1.0, 0.0]]}
         path = tmp_path / "dims.json"

@@ -241,6 +241,14 @@ class TestPeriodicCoefficients:
         with pytest.raises(ConfigurationError, match="symmetric"):
             PeriodicCoefficients([[[0.0, -1.0], [-0.5, 0.0]]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0, 0), (0, 0, 1), (1, 1, 0)])
+    def test_non_finite_rejected(self, bad, where):
+        mats = np.array([[[0.2, -1.0], [-1.0, 0.2]], [[-0.1, -1.1], [-1.1, -0.1]]])
+        mats[where] = bad
+        with pytest.raises(ConfigurationError, match=rf"matrices\[{where[0]}\].*non-finite"):
+            PeriodicCoefficients(mats)
+
     def test_matrices_read_only(self):
         coeffs = model_coefficients()
         with pytest.raises(ValueError):

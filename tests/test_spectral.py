@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,12 @@ from dhlattice import (
     band_structure,
     e_norm,
     eigendecompose,
-    gap_mode_report,
+    floquet_symbol,
     l2_inner,
     lp_norm,
     projectors,
 )
+from dhlattice.cli import builtin_config_path, load_config, main
 from dhlattice.spectral import SpectralDecomposition
 from helpers import (
     model_coefficients,
@@ -212,58 +215,22 @@ class TestBandStructure:
             band_structure(model_coefficients(), 1)
 
 
-class TestGapModeReport:
-    def test_periodic_report_empty(self):
-        _, dec = model_periodic_decomposition()
-        report = gap_mode_report(dec)
-        assert report.modes == ()
+@pytest.mark.parametrize("name", ["model", "period2", "n2"])
+def test_batched_symbol(name, tmp_path, capsys):
+    config_path = builtin_config_path(name)
+    coeffs = load_config(str(config_path)).build_coefficients()
+    thetas = 2.0 * np.pi * np.arange(12) / 12
+    stack = floquet_symbol(thetas, coeffs)
+    np.testing.assert_array_equal(stack, [floquet_symbol(t, coeffs) for t in thetas])
 
-    def test_model_zero_pad_modes_are_boundary_artifacts(self):
-        coeffs = model_coefficients()
-        dec = eigendecompose(assemble(Window.zero_pad(64), coeffs))
-        report = gap_mode_report(dec)
-        for mode in report.modes:
-            assert mode.boundary_mass_fraction >= 0.99
-
-    def test_count_does_not_grow_with_window(self):
-        coeffs = model_coefficients()
-        count = {}
-        for half in (64, 128):
-            dec = eigendecompose(assemble(Window.zero_pad(half), coeffs))
-            count[half] = len(gap_mode_report(dec).modes)
-        assert count[128] <= count[64]
-
-    def test_synthetic_boundary_mode_is_reported(self):
-        # handcrafted decomposition: one in-gap eigenvalue whose vector decays
-        # geometrically from the left window edge
-        window = Window.zero_pad(10)
-        dim = window.num_nodes * 2
-        vecs = np.eye(dim)
-        profile = 0.25 ** np.arange(window.num_nodes)
-        edge = np.repeat(profile, 2) / np.linalg.norm(np.repeat(profile, 2))
-        vecs[:, 0] = edge
-        values = np.linspace(1.0, 3.0, dim)
-        values[0] = 0.1  # inside the gap for lambda0 = 1
-        dec = SpectralDecomposition(
-            window=window,
-            block_dim=1,
-            eigenvalues=values,
-            eigenvectors=vecs,
-            split_index=0,
-            lambda0=1.0,
-            Lambda0=1.0,
+    bands = band_structure(coeffs, 12)
+    for theta, row in zip(bands.thetas, bands.bands):
+        np.testing.assert_allclose(
+            row, np.linalg.eigvalsh(floquet_symbol(theta, coeffs)), rtol=0, atol=1e-12
         )
-        report = gap_mode_report(dec)
-        assert len(report.modes) == 1
-        mode = report.modes[0]
-        assert mode.eigenvalue == pytest.approx(0.1)
-        expected_mass = np.sum(profile[:5] ** 2) / np.sum(profile**2)
-        assert mode.boundary_mass_fraction == pytest.approx(expected_mass, abs=1e-12)
-        assert mode.boundary_mass_fraction >= 0.99
 
-    def test_report_serializable(self):
-        import json
-
-        _, dec = model_periodic_decomposition()
-        payload = gap_mode_report(dec).to_dict()
-        json.dumps(payload)
+    argv = ["spectrum", "--config", str(config_path), "--out", str(tmp_path), "--window", "0"]
+    assert main(argv) == 0
+    cross = json.loads(capsys.readouterr().out)["periodic_crosscheck"]
+    assert cross["num_nodes"] == coeffs.period and cross["momenta"] == 1
+    assert cross["max_mismatch"] <= 1e-9
