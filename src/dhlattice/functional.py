@@ -20,18 +20,25 @@ definite on the rest.  The identity
 holds exactly because the quadratic part cancels; energy_defect returns its
 floating-point residual.  Every node-wise term (R, grad R, tildeR) is
 evaluated with one vectorized nonlinearity call per window.
+
+The linear rows (A+S)x, shared by Phi and the gradient, are computed on the
+raw (K, 2N) node array with the context's cached node labels and per-node
+coefficient matrices, skipping the validated BlockVector copies of apply_A
+and apply_S.  The arithmetic is theirs, operation for operation, so the rows
+equal apply_A(x) + apply_S(x) exactly; a banded matvec on the assembled
+operator would round differently and move the Newton iterates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .core import BlockVector, ConfigurationError, DimensionMismatchError, l2_inner
 from .nonlinearity import Nonlinearity, eval_tildeR
-from .operators import TruncatedOperator, apply_A, apply_S
+from .operators import TruncatedOperator, _difference_rows
 from .spectral import SpectralDecomposition, e_norm, eigendecompose, projectors
 
 
@@ -42,6 +49,8 @@ class FunctionalContext:
     op: TruncatedOperator
     nl: Nonlinearity
     dec: Optional[SpectralDecomposition] = None
+    _nodes: np.ndarray = field(init=False, repr=False)
+    _node_matrices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.op.block_dim != self.nl.block_dim:
@@ -56,6 +65,11 @@ class FunctionalContext:
             )
         if self.dec is not None and self.dec.window != self.op.window:
             raise DimensionMismatchError("decomposition window does not match operator")
+        nodes = self.op.window.nodes
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(
+            self, "_node_matrices", self.op.coeffs.matrices[nodes % self.op.coeffs.period]
+        )
 
     @property
     def window(self):
@@ -70,10 +84,15 @@ class FunctionalContext:
         if x.window != self.op.window or x.block_dim != self.op.block_dim:
             raise DimensionMismatchError("vector does not match the context's window")
 
+    def _linear_rows(self, z: np.ndarray) -> np.ndarray:
+        """Rows of (A+S)x on the raw (K, 2N) entries, equal to apply_A + apply_S."""
+        out = _difference_rows(z, self.op.block_dim, self.window.boundary)
+        out -= np.einsum("kij,kj->ki", self._node_matrices, z)
+        return out
+
     def gradient_entries(self, x: BlockVector) -> np.ndarray:
         """Per-node rows of grad Phi(x), with one gradient call for the window."""
-        lin = apply_A(x).entries + apply_S(x, self.op.coeffs).entries
-        return lin - self.nl.gradient(self.window.nodes, x.entries)
+        return self._linear_rows(x.entries) - self.nl.gradient(self._nodes, x.entries)
 
 
 def Psi(ctx: FunctionalContext, x: BlockVector) -> float:
@@ -95,7 +114,7 @@ def tildeR_sum(ctx: FunctionalContext, x: BlockVector) -> float:
 def Phi(ctx: FunctionalContext, x: BlockVector) -> float:
     """Action value (1/2)((A+S)x, x) - Psi(x)."""
     ctx._check(x)
-    lin = apply_A(x).entries + apply_S(x, ctx.op.coeffs).entries
+    lin = ctx._linear_rows(x.entries)
     return 0.5 * float(np.vdot(lin, x.entries)) - Psi(ctx, x)
 
 

@@ -55,13 +55,18 @@ def _neighbor(entries: np.ndarray, step: int, boundary: Boundary) -> np.ndarray:
     return out
 
 
+def _difference_rows(entries: np.ndarray, block_dim: int, boundary: Boundary) -> np.ndarray:
+    """Rows of A x on the raw (K, 2N) entries of x."""
+    x1, x2 = entries[:, :block_dim], entries[:, block_dim:]
+    out = np.empty_like(entries)
+    out[:, :block_dim] = x2 - _neighbor(x2, -1, boundary)
+    out[:, block_dim:] = x1 - _neighbor(x1, +1, boundary)
+    return out
+
+
 def apply_A(x: BlockVector) -> BlockVector:
     """First-order difference part: z(n) = (x2(n) - x2(n-1), x1(n) - x1(n+1))."""
-    boundary = x.window.boundary
-    x1, x2 = x.x1(), x.x2()
-    z1 = x2 - _neighbor(x2, -1, boundary)
-    z2 = x1 - _neighbor(x1, +1, boundary)
-    return x.with_entries(np.hstack([z1, z2]))
+    return x.with_entries(_difference_rows(x.entries, x.block_dim, x.window.boundary))
 
 
 def apply_S(x: BlockVector, coeffs: PeriodicCoefficients) -> BlockVector:
@@ -123,19 +128,16 @@ def _assemble_banded(window: Window, coeffs: PeriodicCoefficients) -> np.ndarray
     """Lower-banded storage of a zero-pad window: bands[k, j] = M[j + k, j]."""
     diags, c_low = _node_blocks(coeffs, window.nodes)
     n2 = 2 * coeffs.block_dim
-    bands = np.zeros((2 * n2, window.num_nodes * n2))
-    for i, blk in enumerate(diags):
-        base = i * n2
-        for a in range(n2):
-            for b in range(a, n2):
-                bands[b - a, base + a] = blk[b, a]
-    # M[rows(i+1), cols(i)] = c_low: entry (b, a) sits at offset n2 + b - a
-    for i in range(window.num_nodes - 1):
-        base = i * n2
-        for a in range(n2):
-            for b in range(n2):
-                if c_low[b, a] != 0.0:
-                    bands[n2 + b - a, base + a] = c_low[b, a]
+    count = window.num_nodes
+    bands = np.zeros((2 * n2, count * n2))
+    # entry (b, a) of node i's block sits in column i * n2 + a: one strided
+    # slice per block entry covers every node
+    for a in range(n2):
+        for b in range(a, n2):
+            bands[b - a, a::n2] = diags[:, b, a]
+    # M[rows(i+1), cols(i)] = c_low for i < count - 1: offset n2 + b - a
+    for b, a in zip(*np.nonzero(c_low)):
+        bands[n2 + b - a, a : (count - 1) * n2 : n2] = c_low[b, a]
     return bands
 
 

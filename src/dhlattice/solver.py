@@ -13,6 +13,22 @@ norm; a singular or ill-conditioned Newton matrix is regularized by adding
 tau I with tau doubling on repeats, and if regularized steps keep stalling the
 iteration falls back to plain descent on (1/2)||F||^2 as a rescue path.
 
+Near a nonzero local minimizer of (1/2)||F||^2 the Newton matrix is nearly
+singular and the line search only creeps, so a start can spend its whole
+iteration budget without converging.  A stagnation exit stops such a start:
+after each accepted step of a start that has not converged, if at least
+STAGNATION_WINDOW steps have been taken and the smallest max-norm residual
+seen so far is still above STAGNATION_RATIO times the smallest one seen
+STAGNATION_WINDOW steps earlier, the start ends as ``no_convergence``.  The
+window is wide enough for starts that plateau for a few dozen steps and then
+converge (period2's bumps converge at iterations 44 and 63).  Every result
+records why its iteration stopped in ``diagnostics["stop_reason"]``:
+``polish_floor`` or ``converged`` for a start that met the tolerance (the
+first when the residual reached POLISH_FLOOR), and ``stagnated``,
+``singular`` (every regularized solve failed), ``line_search_failed`` (the
+rescue path found no decrease) or ``max_iter`` for one that did not.
+``diagnostics["gradient_evaluations"]`` counts the gradient evaluations.
+
 Zero is always a root, so converged points below a smallness threshold are
 rejected as trivial; accepted orbits are handed to the verification module
 (difference-equation residual, decay fit, energy identity, window doubling)
@@ -49,6 +65,8 @@ from .spectral import eigendecompose
 from .verify import VerificationReport, VerifyThresholds, verify_orbit
 
 POLISH_FLOOR = 1e-13
+STAGNATION_WINDOW = 30
+STAGNATION_RATIO = 0.9
 BACKTRACK_MIN = 2.0**-40
 RCOND_FLOOR = scipy.linalg.lapack.dlamch("E")
 START_KINDS = ("linking", "gaussian", "random")
@@ -257,7 +275,9 @@ def newton_solve(
     Convergence requires the max block norm of the gradient to fall below
     ``grad_tol``; once there the iteration keeps polishing while each step
     still halves the residual, down to the floating-point floor, so tail
-    entries of the orbit stay meaningful well below the tolerance.
+    entries of the orbit stay meaningful well below the tolerance.  A start
+    whose residual stalls short of the tolerance stops at the stagnation exit
+    described in the module docstring.
     """
     opts = opts or SolveOptions()
     if ctx.window.boundary is not Boundary.ZERO_PAD:
@@ -268,7 +288,11 @@ def newton_solve(
     ctx._check(x0)
     window = ctx.window
 
+    gradient_evaluations = 0
+
     def grad(entries: np.ndarray) -> np.ndarray:
+        nonlocal gradient_evaluations
+        gradient_evaluations += 1
         return ctx.gradient_entries(BlockVector(window, ctx.op.block_dim, entries))
 
     def inf_norm(rows: np.ndarray) -> float:
@@ -278,10 +302,12 @@ def newton_solve(
     g = grad(x)
     g_inf = inf_norm(g)
     history = [g_inf]
+    best = [g_inf]  # best[k]: smallest residual over the first k steps
     regularizations = 0
     fallback_steps = 0
     polish = 0
     converged = g_inf <= opts.grad_tol
+    stop_reason = "max_iter"
     iterations = 0
 
     for iterations in range(1, opts.max_iter + 1):
@@ -299,6 +325,7 @@ def newton_solve(
             regularizations += 1
             tau = opts.regularization_tau if tau == 0.0 else 2.0 * tau
         if delta is None:
+            stop_reason = "singular"
             break
         delta_rows = delta.reshape(x.shape)
         g_sq = float(np.vdot(g, g))
@@ -317,6 +344,7 @@ def newton_solve(
             jd = banded_matvec(jac, d)
             jd_sq = float(np.vdot(jd, jd))
             if jd_sq == 0.0:
+                stop_reason = "line_search_failed"
                 break
             t = float(np.vdot(d, d)) / jd_sq  # Cauchy step for the quadratic model
             for _ in range(60):
@@ -328,6 +356,7 @@ def newton_solve(
                     break
                 t *= opts.damping_shrink
             if not accepted:
+                stop_reason = "line_search_failed"
                 break
         new_inf = inf_norm(g_trial)
         if converged:
@@ -336,8 +365,17 @@ def newton_solve(
             polish += 1
         x, g, g_inf = x_trial, g_trial, new_inf
         history.append(g_inf)
+        best.append(min(best[-1], g_inf))
         if g_inf <= opts.grad_tol:
             converged = True
+        elif (
+            iterations >= STAGNATION_WINDOW
+            and best[-1] > STAGNATION_RATIO * best[-1 - STAGNATION_WINDOW]
+        ):
+            stop_reason = "stagnated"
+            break
+    if converged:
+        stop_reason = "polish_floor" if g_inf <= POLISH_FLOOR else "converged"
 
     orbit = BlockVector(window, ctx.op.block_dim, x)
     diagnostics = {
@@ -345,6 +383,8 @@ def newton_solve(
         "regularizations": regularizations,
         "fallback_steps": fallback_steps,
         "polish_iterations": polish,
+        "gradient_evaluations": gradient_evaluations,
+        "stop_reason": stop_reason,
     }
     phi_value = Phi(ctx, orbit)
 

@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from dhlattice import (
     BlockVector,
     FunctionalContext,
+    Phi,
     Psi,
     TruncatedOperator,
     Window,
@@ -148,6 +149,8 @@ def test_window_functions_equal_per_node_loops(case):
     ctx, x = case
     nodes = [int(n) for n in ctx.window.nodes]
     assert np.array_equal(ctx.gradient_entries(x), reference_gradient_entries(ctx, x))
+    linear = apply_A(x).entries + apply_S(x, ctx.op.coeffs).entries
+    assert Phi(ctx, x) == 0.5 * float(np.vdot(linear, x.entries)) - Psi(ctx, x)
     assert Psi(ctx, x) == float(sum(ctx.nl.value(n, x.entries[i]) for i, n in enumerate(nodes)))
     assert tildeR_sum(ctx, x) == float(
         sum(eval_tildeR(ctx.nl, n, x.entries[i]) for i, n in enumerate(nodes))

@@ -236,6 +236,22 @@ class TestSolveCommand:
         header = orbit_file.read_text().splitlines()[0]
         assert header == "n,x1_1,x2_1"
 
+    def test_results_carry_stop_reason_and_gradient_count(
+        self, capsys, tmp_path, model_config_path
+    ):
+        code, payload = run_cli(
+            capsys, "solve", "--config", model_config_path, "--out", str(tmp_path)
+        )
+        assert code == EXIT_OK
+        for entry in payload["results"]:
+            diag = entry["diagnostics"]
+            assert sorted(diag) == [
+                "fallback_steps", "gradient_evaluations", "polish_iterations",
+                "regularizations", "stop_reason",
+            ]
+            assert diag["stop_reason"] in ("converged", "polish_floor")
+            assert diag["gradient_evaluations"] > entry["iterations"]
+
     def test_failed_check_blocks_solve(self, capsys, tmp_path):
         raw = json.loads(builtin_config_path("model").read_text())
         raw["nonlinearity"] = {"family": "quadratic", "strength": 4.0}

@@ -16,6 +16,7 @@ from dhlattice import (
     lp_norm,
 )
 from dhlattice.core import gap_bounds_from_matrices
+from dhlattice.operators import _assemble_banded, _node_blocks
 from helpers import (
     MODEL_MATRICES,
     model_coefficients,
@@ -215,6 +216,34 @@ class TestBandedStorage:
             assert op.storage == "dense" and op.bands is None
             # one or two cells add both wrap-around couplings onto one block
             np.testing.assert_allclose(op.to_dense(), reference_matrix(w, coeffs), atol=TOL)
+
+
+def reference_bands(window, coeffs):
+    """Lower-banded storage written one node and one block entry at a time."""
+    diags, c_low = _node_blocks(coeffs, window.nodes)
+    n2 = 2 * coeffs.block_dim
+    bands = np.zeros((2 * n2, window.num_nodes * n2))
+    for i, blk in enumerate(diags):
+        for a in range(n2):
+            for b in range(a, n2):
+                bands[b - a, i * n2 + a] = blk[b, a]
+    for i in range(window.num_nodes - 1):
+        for a in range(n2):
+            for b in range(n2):
+                if c_low[b, a] != 0.0:
+                    bands[n2 + b - a, i * n2 + a] = c_low[b, a]
+    return bands
+
+
+@pytest.mark.parametrize("block_dim", [1, 2])
+@pytest.mark.parametrize("period", [1, 2])
+@pytest.mark.parametrize("num_nodes", [1, 2, 129])
+def test_banded_assembly_equals_per_node_loop(block_dim, period, num_nodes):
+    # one node is the window whose bandwidth exceeds the matrix size
+    coeffs = random_coefficients(block_dim, period, np.random.default_rng(num_nodes))
+    window = Window(half_width=num_nodes // 2, num_nodes=num_nodes)
+    bands = _assemble_banded(window, coeffs)
+    assert np.array_equal(bands, reference_bands(window, coeffs))
 
 
 class TestFloquetSymbol:

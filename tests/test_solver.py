@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from dhlattice import (
     newton_solve,
     shift,
 )
+from dhlattice.cli import builtin_config_path, load_config
+from dhlattice.solver import STAGNATION_RATIO, STAGNATION_WINDOW
 from helpers import model_coefficients, random_block_vector
 
 
@@ -189,6 +193,104 @@ class TestNewtonSolve:
             diag = result.diagnostics
             assert diag["regularizations"] >= 1, half_width
             assert np.isfinite(result.grad_inf_norm)
+
+
+def stuck_model_start(ctx):
+    # model's gaussian(a=0.5,w=2) start: Newton stalls at |F|_inf ~ 0.07
+    return initial_guess("gaussian", ctx, 0.5, width=2.0)
+
+
+class TestStopReason:
+    def test_stalled_start_stops_early(self):
+        ctx = model_ctx()
+        result = newton_solve(ctx, stuck_model_start(ctx), SolveOptions())
+        assert result.status == "no_convergence"
+        assert result.diagnostics["stop_reason"] == "stagnated"
+        assert STAGNATION_WINDOW <= result.iterations <= 2 * STAGNATION_WINDOW
+        best = np.minimum.accumulate(result.diagnostics["residual_history"])
+        assert best[-1] > STAGNATION_RATIO * best[-1 - STAGNATION_WINDOW]
+        assert best[-2] <= STAGNATION_RATIO * best[-2 - STAGNATION_WINDOW]
+
+    def test_iteration_cap_before_the_window(self):
+        ctx = model_ctx()
+        result = newton_solve(ctx, stuck_model_start(ctx), SolveOptions(max_iter=20))
+        assert result.status == "no_convergence"
+        assert result.iterations == 20
+        assert result.diagnostics["stop_reason"] == "max_iter"
+
+    def test_non_finite_newton_matrix_is_singular(self):
+        base = family_quadratic(2.0)
+        nl = dataclasses.replace(
+            base, hessian=lambda n, z: np.full(np.shape(z) + (2,), np.nan)
+        )
+        ctx = FunctionalContext(assemble(Window.zero_pad(8), model_coefficients()), nl)
+        result = newton_solve(ctx, initial_guess("gaussian", ctx, 1.0, width=2.0))
+        assert result.status == "no_convergence"
+        assert result.iterations == 1
+        assert result.diagnostics["stop_reason"] == "singular"
+        assert result.diagnostics["regularizations"] == 9
+
+    def test_gradient_evaluations_counted(self, monkeypatch):
+        ctx = model_ctx(32)
+        calls = []
+        original = FunctionalContext.gradient_entries
+
+        def counting(self, x):
+            calls.append(1)
+            return original(self, x)
+
+        monkeypatch.setattr(FunctionalContext, "gradient_entries", counting)
+        x0 = initial_guess("gaussian", ctx, 2.0, width=2.0)
+        result = newton_solve(ctx, x0, SolveOptions(), run_verification=False)
+        assert result.diagnostics["gradient_evaluations"] == len(calls) > result.iterations
+
+
+# Every start of the shipped configs, run as `solve` runs them: (start,
+# status, Newton iterations, stop reason).  None marks the one stalled start,
+# whose iteration count is bounded instead.
+SHIPPED_STARTS = {
+    "model": [
+        ("gaussian(a=1,w=2)", "verified", 10, "polish_floor"),
+        ("gaussian(a=2,w=2)", "verified", 6, "polish_floor"),
+        ("gaussian(a=0.5,w=2)", "no_convergence", None, "stagnated"),
+        ("linking(a=1)", "trivial", 4, "polish_floor"),
+        ("random(a=1)", "trivial", 4, "polish_floor"),
+    ],
+    "period2": [
+        ("gaussian(a=1,w=2)", "verified", 63, "polish_floor"),
+        ("gaussian(a=2,w=2)", "verified", 44, "polish_floor"),
+        ("linking(a=1)", "trivial", 4, "polish_floor"),
+    ],
+    "n2": [
+        ("gaussian(a=1,w=2)", "verified", 15, "polish_floor"),
+        ("gaussian(a=2,w=2)", "verified", 38, "polish_floor"),
+        ("linking(a=1)", "trivial", 5, "polish_floor"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_STARTS))
+def test_shipped_starts_are_pinned(name):
+    # period2's two verified starts plateau before converging at 63 and 44
+    # iterations: the stagnation exit must leave them alone
+    config = load_config(str(builtin_config_path(name)))
+    ctx = FunctionalContext(
+        assemble(config.build_window(), config.build_coefficients()),
+        config.build_nonlinearity(),
+    ).with_decomposition()
+    opts = config.build_solve_options()
+    rng = np.random.default_rng(opts.seed)
+    got = []
+    for strategy in opts.starts:
+        x0 = initial_guess(strategy, ctx, strategy.amplitude, rng=rng)
+        result = newton_solve(ctx, x0, opts, start_tag=strategy.tag)
+        iterations = result.iterations
+        if result.diagnostics["stop_reason"] == "stagnated":
+            assert iterations <= 60
+            iterations = None
+        got.append((result.start_used, result.status, iterations,
+                    result.diagnostics["stop_reason"]))
+    assert got == SHIPPED_STARTS[name]
 
 
 class TestMultiStart:
