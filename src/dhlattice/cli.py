@@ -52,8 +52,8 @@ from .core import (
 )
 from .functional import FunctionalContext
 from .nonlinearity import FAMILIES, Nonlinearity, SamplingPlan, check_hypotheses
-from .operators import assemble, floquet_symbol
-from .spectral import band_structure
+from .operators import assemble
+from .spectral import band_structure, symbol_eigenvalues
 from .solver import SolveOptions, StartStrategy, default_starts, multi_start
 from .verify import VerifyThresholds, verify_orbit
 
@@ -204,7 +204,7 @@ class ProblemConfig:
         starts_raw = raw.pop("starts", None)
         if seed is not None:
             raw["seed"] = seed
-        allowed = {"max_iter", "grad_tol", "trivial_tol", "damping_shrink", "armijo", "seed"}
+        allowed = {"max_iter", "grad_tol", "trivial_tol", "seed"}
         unknown = set(raw) - allowed
         if unknown:
             raise ConfigError(f"unknown solver fields: {sorted(unknown)}")
@@ -346,7 +346,7 @@ def cmd_spectrum(config: ProblemConfig, grid: int, out_dir: Path,
     window = Window.periodic_cells(coeffs.period, cells)
     window_eigs = np.linalg.eigvalsh(assemble(window, coeffs).matrix)
     thetas = 2.0 * np.pi * np.arange(cells) / cells
-    sym_union = np.sort(np.linalg.eigvalsh(floquet_symbol(thetas, coeffs)), axis=None)
+    sym_union = np.sort(symbol_eigenvalues(thetas, coeffs), axis=None)
     crosscheck = {
         "num_nodes": window.num_nodes,
         "momenta": cells,

@@ -148,19 +148,6 @@ def banded_matvec(bands: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return scipy.linalg.blas.dsbmv(bw, 1.0, ab, vec, lower=1)
 
 
-def lower_band_to_full(bands: np.ndarray) -> np.ndarray:
-    """Expand symmetric lower-banded storage to the (2*bw+1)-row general band form."""
-    bw = bands.shape[0] - 1
-    dim = bands.shape[1]
-    ab = np.zeros((2 * bw + 1, dim))
-    for k in range(min(bw + 1, dim)):
-        # lower diagonal k: M[j+k, j] -> ab[bw + k, j]
-        # mirrored upper diagonal: M[j, j+k] -> ab[bw - k, j+k]
-        ab[bw + k, : dim - k] = bands[k, : dim - k]
-        ab[bw - k, k:] = bands[k, : dim - k]
-    return ab
-
-
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
     """The matrix of A + S on a window: ``bands`` on zero-pad, ``matrix`` on periodic."""

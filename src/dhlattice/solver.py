@@ -8,10 +8,9 @@ with the assembled operator matrix H0 and the block-diagonal Hessian of the
 interaction sum (the interaction couples nodes only through themselves, so its
 Hessian is one 2N x 2N block per node).  The search runs on zero-pad windows,
 where the Newton matrix keeps the operator's lower-banded storage and each
-step is one banded LU solve.  Backtracking damps steps on the squared residual
-norm; a singular or ill-conditioned Newton matrix is regularized by adding
-tau I with tau doubling on repeats, and if regularized steps keep stalling the
-iteration falls back to plain descent on (1/2)||F||^2 as a rescue path.
+step is one banded LU solve.  Armijo backtracking on the squared residual
+norm accepts only steps that reduce ||F||; when it finds none, or the LU gives
+no finite step, the one fallback is a rescue step of descent on (1/2)||F||^2.
 
 Near a nonzero local minimizer of (1/2)||F||^2 the Newton matrix is nearly
 singular and the line search only creeps, so a start can spend its whole
@@ -25,9 +24,9 @@ converge (period2's bumps converge at iterations 44 and 63).  Every result
 records why its iteration stopped in ``diagnostics["stop_reason"]``:
 ``polish_floor`` or ``converged`` for a start that met the tolerance (the
 first when the residual reached POLISH_FLOOR), and ``stagnated``,
-``singular`` (every regularized solve failed), ``line_search_failed`` (the
-rescue path found no decrease) or ``max_iter`` for one that did not.
-``diagnostics["gradient_evaluations"]`` counts the gradient evaluations.
+``line_search_failed`` (the rescue found no decrease) or ``max_iter`` for one
+that did not.  Diagnostics also count ``gradient_evaluations``, rescue
+``fallback_steps`` and ``regularizations``: Newton steps with no finite LU step.
 
 Zero is always a root, so converged points below a smallness threshold are
 rejected as trivial; accepted orbits are handed to the verification module
@@ -60,7 +59,7 @@ from .core import (
     shift,
 )
 from .functional import FunctionalContext, Phi
-from .operators import TruncatedOperator, assemble, banded_matvec, lower_band_to_full
+from .operators import TruncatedOperator, assemble, banded_matvec
 from .spectral import eigendecompose
 from .verify import VerificationReport, VerifyThresholds, verify_orbit
 
@@ -68,7 +67,8 @@ POLISH_FLOOR = 1e-13
 STAGNATION_WINDOW = 30
 STAGNATION_RATIO = 0.9
 BACKTRACK_MIN = 2.0**-40
-RCOND_FLOOR = scipy.linalg.lapack.dlamch("E")
+BACKTRACK_SHRINK = 0.5
+ARMIJO = 1e-4
 START_KINDS = ("linking", "gaussian", "random")
 
 
@@ -114,20 +114,19 @@ def default_starts() -> tuple[StartStrategy, ...]:
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Iteration budget, tolerances, starts and seed; the line search constants are fixed."""
+
     max_iter: int = 200
     grad_tol: float = 1e-10
     trivial_tol: float = 1e-6
-    damping_shrink: float = 0.5
-    armijo: float = 1e-4
     starts: tuple[StartStrategy, ...] = field(default_factory=default_starts)
     seed: int = 0
-    regularization_tau: float = 1e-8
     thresholds: VerifyThresholds = field(default_factory=VerifyThresholds)
 
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be at least 1")
-        for name in ("grad_tol", "trivial_tol", "damping_shrink", "armijo"):
+        for name in ("grad_tol", "trivial_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
 
@@ -241,23 +240,20 @@ def _jacobian(op: TruncatedOperator, hess_blocks: np.ndarray) -> np.ndarray:
     return bands
 
 
-def _solve_linear(jac: np.ndarray, rhs: np.ndarray, tau: float) -> Optional[np.ndarray]:
-    """Solve (jac + tau I) x = rhs by banded LU; None if singular or ill-conditioned.
+def _solve_linear(jac: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
+    """Solve jac x = rhs, jac in symmetric lower-band storage, by one banded LU.
 
-    A reciprocal condition number below machine epsilon, the criterion on
-    which ``scipy.linalg.solve`` warns, is the caller's signal to regularize.
+    Returns None when ``dgbsv`` reports a singular factor or x is not finite.
     """
     bw = jac.shape[0] - 1
-    full = lower_band_to_full(jac)
-    full[bw] += tau
-    anorm = np.abs(full).sum(axis=0).max()  # 1-norm: band column j is matrix column j
-    ab = np.zeros((3 * bw + 1, jac.shape[1]))  # gbsv keeps bw rows for LU fill-in
-    ab[bw:] = full
-    lu, piv, x, info = scipy.linalg.lapack.dgbsv(bw, bw, ab, rhs, overwrite_ab=1)
-    if info != 0:
-        return None
-    rcond, info = scipy.linalg.lapack.dgbcon(bw, bw, lu, piv, anorm)
-    if info != 0 or not rcond >= RCOND_FLOOR or not np.all(np.isfinite(x)):
+    dim = jac.shape[1]
+    # M[i, j] sits at ab[2 bw + i - j, j]; the top bw rows are LU fill-in space
+    ab = np.zeros((3 * bw + 1, dim))
+    for k in range(min(bw + 1, dim)):
+        ab[2 * bw + k, : dim - k] = jac[k, : dim - k]
+        ab[2 * bw - k, k:] = jac[k, : dim - k]
+    _, _, x, info = scipy.linalg.lapack.dgbsv(bw, bw, ab, rhs, overwrite_ab=1)
+    if info != 0 or not np.all(np.isfinite(x)):
         return None
     return x
 
@@ -316,34 +312,27 @@ def newton_solve(
             break
         bv = BlockVector(window, ctx.op.block_dim, x)
         jac = _jacobian(ctx.op, _node_hessians(ctx, bv))
-        rhs = -g.reshape(-1)
-        tau = 0.0
-        for _ in range(9):
-            delta = _solve_linear(jac, rhs, tau)
-            if delta is not None:
-                break
-            regularizations += 1
-            tau = opts.regularization_tau if tau == 0.0 else 2.0 * tau
-        if delta is None:
-            stop_reason = "singular"
-            break
-        delta_rows = delta.reshape(x.shape)
+        delta = _solve_linear(jac, -g.reshape(-1))
         g_sq = float(np.vdot(g, g))
-        t = 1.0
         accepted = False
-        while t >= BACKTRACK_MIN:
-            x_trial = x + t * delta_rows
-            g_trial = grad(x_trial)
-            if float(np.vdot(g_trial, g_trial)) <= (1.0 - 2.0 * opts.armijo * t) * g_sq:
-                accepted = True
-                break
-            t *= opts.damping_shrink
+        if delta is None:
+            regularizations += 1
+        else:
+            delta_rows = delta.reshape(x.shape)
+            t = 1.0
+            while t >= BACKTRACK_MIN:
+                x_trial = x + t * delta_rows
+                g_trial = grad(x_trial)
+                if float(np.vdot(g_trial, g_trial)) <= (1.0 - 2.0 * ARMIJO * t) * g_sq:
+                    accepted = True
+                    break
+                t *= BACKTRACK_SHRINK
         if not accepted:
             # rescue path: steepest descent on (1/2)||F||^2, gradient J^T F
             d = banded_matvec(jac, g.reshape(-1))
             jd = banded_matvec(jac, d)
             jd_sq = float(np.vdot(jd, jd))
-            if jd_sq == 0.0:
+            if not jd_sq > 0.0:  # also NaN from a non-finite Newton matrix
                 stop_reason = "line_search_failed"
                 break
             t = float(np.vdot(d, d)) / jd_sq  # Cauchy step for the quadratic model
@@ -354,7 +343,7 @@ def newton_solve(
                     accepted = True
                     fallback_steps += 1
                     break
-                t *= opts.damping_shrink
+                t *= BACKTRACK_SHRINK
             if not accepted:
                 stop_reason = "line_search_failed"
                 break

@@ -6,7 +6,8 @@ On periodic windows the truncation is spectrally exact (every eigenvalue is a
 Bloch symbol sample), so the gap (-lambda0, lambda0) is certified free of
 eigenvalues.  Zero-pad truncation can create boundary-localized modes inside
 the gap; those are truncation artifacts, not spectrum.  The band structure
-is one batched eigenvalue call on the stack of Bloch symbols over the grid.
+takes batched eigenvalue calls on Bloch symbol stacks of at most
+SYMBOL_CHUNK_BYTES each, so memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import (
 from .operators import TruncatedOperator, floquet_symbol
 
 GAP_EIGENVALUE_TOL = 1e-10
+SYMBOL_CHUNK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,12 +127,25 @@ class BandStructure:
         return out
 
 
+def symbol_eigenvalues(thetas: np.ndarray, coeffs: PeriodicCoefficients) -> np.ndarray:
+    """Ascending symbol eigenvalues per theta, shape (G, 2NT), one ``eigvalsh``
+    per chunk of thetas whose stack fits SYMBOL_CHUNK_BYTES (at least one)."""
+    thetas = np.asarray(thetas, dtype=float)
+    size = 2 * coeffs.block_dim * coeffs.period
+    chunk = max(1, SYMBOL_CHUNK_BYTES // (16 * size * size))  # complex128 entries
+    out = np.empty((thetas.size, size))
+    for start in range(0, thetas.size, chunk):
+        part = thetas[start : start + chunk]
+        out[start : start + chunk] = np.linalg.eigvalsh(floquet_symbol(part, coeffs))
+    return out
+
+
 def band_structure(coeffs: PeriodicCoefficients, grid_size: int) -> BandStructure:
     """Symbol eigenvalues at theta_j = 2 pi j / grid_size for j = 0..grid_size-1."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    bands = np.linalg.eigvalsh(floquet_symbol(thetas, coeffs))
+    bands = symbol_eigenvalues(thetas, coeffs)
     return BandStructure(
         thetas=thetas, bands=bands, lambda0=coeffs.lambda0, Lambda0=coeffs.Lambda0
     )

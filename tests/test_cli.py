@@ -334,6 +334,19 @@ class TestSolveCommand:
         assert code == EXIT_CONFIG_ERROR
         assert "solver" in report["error"]
 
+    @pytest.mark.parametrize("field", [{"armijo": 1e-4}, {"damping_shrink": 0.5}])
+    def test_line_search_constants_are_not_fields(self, capsys, tmp_path, field):
+        raw = json.loads(builtin_config_path("model").read_text())
+        raw["solver"].update(field)
+        path = tmp_path / "line_search.json"
+        path.write_text(json.dumps(raw))
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG_ERROR
+        assert "unknown solver fields" in json.loads(captured.out)["error"]
+        assert next(iter(field)) in json.loads(captured.out)["error"]
+        assert captured.err == ""
+
 
 class TestVerifyCommand:
     @pytest.fixture()

@@ -16,6 +16,7 @@ from dhlattice import (
     lp_norm,
     projectors,
 )
+from dhlattice import spectral
 from dhlattice.cli import builtin_config_path, load_config, main
 from dhlattice.spectral import SpectralDecomposition
 from helpers import (
@@ -234,3 +235,27 @@ def test_batched_symbol(name, tmp_path, capsys):
     cross = json.loads(capsys.readouterr().out)["periodic_crosscheck"]
     assert cross["num_nodes"] == coeffs.period and cross["momenta"] == 1
     assert cross["max_mismatch"] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "coeffs_fn", [model_coefficients, period2_coefficients, n2_coefficients]
+)
+@pytest.mark.parametrize("symbols_per_chunk", [0, 1, 3])
+def test_symbol_chunks_match_one_batch(coeffs_fn, symbols_per_chunk, monkeypatch):
+    # a budget of 3 symbols splits 10 thetas into chunks of 3, 3, 3 and 1; a
+    # budget below one symbol still takes one symbol per chunk
+    coeffs = coeffs_fn()
+    size = 2 * coeffs.block_dim * coeffs.period
+    thetas = 2.0 * np.pi * np.arange(10) / 10
+    whole = np.linalg.eigvalsh(floquet_symbol(thetas, coeffs))
+    chunks = []
+
+    def counting_symbol(theta, c):
+        chunks.append(np.size(theta))
+        return floquet_symbol(theta, c)
+
+    monkeypatch.setattr(spectral, "floquet_symbol", counting_symbol)
+    monkeypatch.setattr(spectral, "SYMBOL_CHUNK_BYTES", symbols_per_chunk * 16 * size * size)
+    np.testing.assert_array_equal(spectral.symbol_eigenvalues(thetas, coeffs), whole)
+    assert chunks == ([3, 3, 3, 1] if symbols_per_chunk == 3 else [1] * 10)
+    np.testing.assert_array_equal(band_structure(coeffs, 10).bands, whole)
