@@ -16,6 +16,7 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,6 +35,15 @@ class ConfigurationError(ValueError):
 
 class HypothesisViolationError(ValueError):
     """Coefficient data fails the positivity hypothesis (R0)."""
+
+
+def require_int(name: str, value, minimum: int) -> int:
+    """``value`` as an int if it is an integer (not a bool or a float) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
 
 
 class SpectralGapError(ArithmeticError):

@@ -43,6 +43,7 @@ misses.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -54,8 +55,8 @@ from .core import (
     Boundary,
     ConfigurationError,
     NumericalError,
-    Window,
     lp_norm,
+    require_int,
     shift,
 )
 from .functional import FunctionalContext, Phi
@@ -124,11 +125,14 @@ class SolveOptions:
     thresholds: VerifyThresholds = field(default_factory=VerifyThresholds)
 
     def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be at least 1")
+        require_int("max_iter", self.max_iter, 1)
+        require_int("seed", self.seed, 0)
         for name in ("grad_tol", "trivial_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and 0.0 < value < np.inf
+            ):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(eq=False)
@@ -390,23 +394,24 @@ def newton_solve(
             orbit, phi_value, g_inf, iterations, start_tag, "converged", None, diagnostics
         )
 
-    coeffs = ctx.op.coeffs
-    nl = ctx.nl
-
-    def ctx_builder(w: Window) -> FunctionalContext:
-        return FunctionalContext(assemble(w, coeffs), nl)
-
-    inner_opts = replace(opts, starts=())
-    report = verify_orbit(
-        ctx,
-        orbit,
-        replace(opts.thresholds, trivial_tol=opts.trivial_tol),
-        ctx_builder=ctx_builder,
-        solve_opts=inner_opts,
-    )
+    report = verify_candidate(ctx, orbit, opts)
     status = "verified" if report.passed else "unverified"
     return SolveResult(
         orbit, phi_value, g_inf, iterations, start_tag, status, report, diagnostics
+    )
+
+
+def verify_candidate(
+    ctx: FunctionalContext, orbit: BlockVector, opts: SolveOptions
+) -> VerificationReport:
+    """Every orbit check, with the options' thresholds and trivial_tol; the
+    window-doubling re-solve reuses the options without starts."""
+    return verify_orbit(
+        ctx,
+        orbit,
+        replace(opts.thresholds, trivial_tol=opts.trivial_tol),
+        ctx_builder=lambda w: FunctionalContext(assemble(w, ctx.op.coeffs), ctx.nl),
+        solve_opts=replace(opts, starts=()),
     )
 
 

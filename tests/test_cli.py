@@ -8,6 +8,7 @@ from dhlattice.cli import (
     EXIT_NO_ORBIT,
     EXIT_OK,
     ProblemConfig,
+    build_parser,
     builtin_config_path,
     load_config,
     main,
@@ -441,3 +442,90 @@ class TestDeterminism:
         assert csv_a == csv_b
         for name in csv_a:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def _case(case_id, command, change=None, flags=(), orbit_cell=None):
+    """One malformed input: a model.json field change, extra flags, or an orbit CSV edit."""
+    return pytest.param(command, change, list(flags), orbit_cell, id=case_id)
+
+
+MALFORMED_INPUTS = [
+    _case("half_width-text-solve", "solve", ("window", "half_width", "abc")),
+    _case("half_width-text-spectrum", "spectrum", ("window", "half_width", "abc")),
+    _case("half_width-list-solve", "solve", ("window", "half_width", [1])),
+    _case("half_width-list-spectrum", "spectrum", ("window", "half_width", [1])),
+    _case("half_width-inf-spectrum", "spectrum", ("window", "half_width", float("inf"))),
+    _case("num_nodes-text-solve", "solve", ("window", "num_nodes", "x")),
+    _case("seed-negative-solve", "solve", ("solver", "seed", -1)),
+    _case("seed-float-solve", "solve", ("solver", "seed", 1.5)),
+    _case("max_iter-float-solve", "solve", ("solver", "max_iter", 2.5)),
+    _case("max_iter-inf-solve", "solve", ("solver", "max_iter", float("inf"))),
+    _case("grad_tol-nan-solve", "solve", ("solver", "grad_tol", float("nan"))),
+    _case("block_dim-float-check", "check", (None, "block_dim", 1.5)),
+    _case("block_dim-float-spectrum", "spectrum", (None, "block_dim", 1.5)),
+    _case("block_dim-float-solve", "solve", (None, "block_dim", 1.5)),
+    _case("block_dim-float-verify", "verify", (None, "block_dim", 1.5)),
+    _case("seed-flag-negative-check", "check", flags=("--seed", "-1")),
+    _case("out-is-file-spectrum", "spectrum", flags=("--out", "{file}")),
+    _case("out-is-file-solve", "solve", flags=("--out", "{file}")),
+    _case("window-flag-negative-spectrum", "spectrum", flags=("--window", "-3")),
+    _case("orbit-text-value-verify", "verify", orbit_cell=(3, 1, "abc")),
+    _case("orbit-float-label-verify", "verify", orbit_cell=(3, 0, "-5.5")),
+    _case("orbit-inf-verify", "verify", orbit_cell=(3, 1, "inf")),
+    _case("orbit-nan-verify", "verify", orbit_cell=(3, 2, "nan")),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command, change, flags, orbit_cell", MALFORMED_INPUTS)
+    def test_exits_two_with_one_json_error(
+        self, capsys, tmp_path, command, change, flags, orbit_cell
+    ):
+        raw = json.loads(builtin_config_path("model").read_text())
+        raw["window"]["half_width"] = 8
+        if change is not None:
+            section, key, value = change
+            (raw[section] if section else raw)[key] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))  # writes NaN / Infinity literals as such
+        existing_file = tmp_path / "file.txt"
+        existing_file.write_text("not a directory\n")
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        argv += [str(existing_file) if f == "{file}" else f for f in flags]
+        if command == "verify":
+            rows = [["n", "x1_1", "x2_1"]] + [[str(n), "0", "0"] for n in range(-8, 9)]
+            if orbit_cell is not None:
+                row, col, text = orbit_cell
+                rows[row][col] = text
+            orbit = tmp_path / "orbit.csv"
+            orbit.write_text("\n".join(",".join(r) for r in rows) + "\n")
+            argv.append(str(orbit))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG_ERROR
+        assert set(json.loads(captured.out)) == {"error"}
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["frob"], ["check"], ["check", "--config", "c.json", "--seed", "abc"],
+         ["check", "--config", "c.json", "--bogus"]],
+    )
+    def test_bad_command_line_exits_two(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG_ERROR
+        assert set(json.loads(captured.out)) == {"error"}
+        assert captured.err == ""
+
+    def test_deeply_nested_config_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code = main(["check", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG_ERROR
+        assert "not valid JSON" in json.loads(captured.out)["error"]
+        assert captured.err == ""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()

@@ -419,3 +419,29 @@ class TestContinuation:
     def test_bad_steps_rejected(self):
         with pytest.raises(ConfigurationError):
             continuation(lambda nu: model_ctx(8), 4.0, 3.0, 0)
+
+
+class TestSolveOptions:
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"seed": True},
+            {"seed": 1.5},
+            {"seed": 2.0},
+            {"seed": -1},
+            {"max_iter": 2.5},
+            {"max_iter": float("inf")},
+            {"grad_tol": float("nan")},
+            {"grad_tol": float("inf")},
+            {"trivial_tol": float("nan")},
+            {"trivial_tol": float("inf")},
+            {"grad_tol": "1e-10"},
+        ],
+    )
+    def test_bad_field_rejected(self, field):
+        with pytest.raises(ConfigurationError, match=next(iter(field))):
+            SolveOptions(**field)
+
+    def test_numpy_integers_accepted(self):
+        opts = SolveOptions(max_iter=np.int64(5), seed=np.int32(3), grad_tol=np.float64(1e-9))
+        assert (opts.max_iter, opts.seed, opts.grad_tol) == (5, 3, 1e-9)
