@@ -7,7 +7,8 @@ spectrum  write the Bloch band CSV and a spectral summary (alias: bands)
 solve     run the multi-start orbit search, write orbit CSVs and metadata
 verify    re-check an orbit CSV against a config
 
-Every command prints one JSON object to stdout; CSV files go to --out.  Exit
+Every command prints one JSON object to stdout, with any NaN or infinity
+written as null so strict parsers accept it; CSV files go to --out.  Exit
 codes: 0 success, 1 check or verification failure, 2 malformed input, 3 no
 orbit found.
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -239,8 +241,20 @@ def load_config(path: str) -> ProblemConfig:
     return ProblemConfig.from_dict(raw)
 
 
+def _finite_or_null(value):
+    """The payload with every non-finite float replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Print strict JSON: a NaN or infinity is written as null."""
+    print(json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False))
 
 
 def _out_dir(path: str) -> Path:

@@ -34,11 +34,16 @@ rejected as trivial; accepted orbits are handed to the verification module
 and only fully verified results count as successes.
 
 Initial guesses recycle the saddle geometry of the functional: the eigenvector
-of the smallest positive eigenvalue is the flattest ascent direction of the
-quadratic part, along which the action rises first and eventually falls once
-the interaction takes over, so scaled copies of it bracket interesting
-amplitudes.  Bump and random starts cover orbits the delocalized eigenvector
-misses.
+of the smallest positive eigenvalue lambda+ is the flattest ascent direction of
+the quadratic part, along which the action rises first and eventually falls
+once the interaction takes over, so scaled copies of it bracket interesting
+amplitudes.  The ``linking`` start gets that vector from the operator's band
+storage without an eigenbasis: every eigenvalue from one banded eigenvalue
+call (O(K bw^2), no eigenvectors), one banded LU of H0 - lambda+ I, and a few
+inverse-iteration solves on it from a fixed vector.  The result is normalized
+with its largest-magnitude entry positive; when lambda+ is degenerate, any
+vector of its eigenspace serves.  Bump and random starts cover orbits the
+delocalized eigenvector misses.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ from .core import (
 )
 from .functional import FunctionalContext, Phi
 from .operators import TruncatedOperator, assemble, banded_matvec
-from .spectral import eigendecompose
 from .verify import VerificationReport, VerifyThresholds, verify_orbit
 
 POLISH_FLOOR = 1e-13
@@ -70,6 +74,7 @@ STAGNATION_RATIO = 0.9
 BACKTRACK_MIN = 2.0**-40
 BACKTRACK_SHRINK = 0.5
 ARMIJO = 1e-4
+LINKING_SOLVES = 4
 START_KINDS = ("linking", "gaussian", "random")
 
 
@@ -167,6 +172,14 @@ class SolveResult:
         }
 
 
+def _require_zero_pad(ctx: FunctionalContext) -> None:
+    if ctx.window.boundary is not Boundary.ZERO_PAD:
+        raise ConfigurationError(
+            "the orbit search runs on zero-pad windows; periodic windows are for "
+            "spectral certification only"
+        )
+
+
 def initial_guess(
     strategy,
     ctx: FunctionalContext,
@@ -175,7 +188,16 @@ def initial_guess(
     width: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> BlockVector:
-    """Build a starting vector; ``strategy`` is a StartStrategy or its kind string."""
+    """Build a starting vector; ``strategy`` is a StartStrategy or its kind string.
+
+    ``linking`` is the unit eigenvector of the smallest positive eigenvalue of
+    the zero-pad operator (any unit vector of its eigenspace when that
+    eigenvalue is degenerate), signed so its largest-magnitude entry is
+    positive, times ``amplitude``; it is computed from the band storage by
+    inverse iteration (module docstring) and raises ConfigurationError on a
+    periodic window.  ``gaussian`` is a bump of the given width along the
+    diagonal direction; ``random`` draws from ``rng``.
+    """
     if isinstance(strategy, StartStrategy):
         width = strategy.width if width is None else width
         strategy = strategy.kind
@@ -184,13 +206,8 @@ def initial_guess(
     window = ctx.window
     n2 = 2 * ctx.op.block_dim
     if strategy == "linking":
-        dec = ctx.dec or eigendecompose(ctx.op)
-        positive = dec.eigenvalues > 0
-        if not positive.any():
-            raise NumericalError("operator has no positive eigenvalues")
-        idx = int(np.argmax(positive))  # smallest positive eigenvalue
-        flat = dec.eigenvectors[:, idx]
-        flat = amplitude * flat / np.linalg.norm(flat)
+        _require_zero_pad(ctx)
+        flat = amplitude * _linking_direction(ctx.op.bands)
         return BlockVector.from_flat(window, ctx.op.block_dim, flat)
     if strategy == "gaussian":
         w = width if width is not None else max(window.half_width, 1) / 8.0
@@ -207,6 +224,40 @@ def initial_guess(
             entries *= 0.0
         return BlockVector(window, ctx.op.block_dim, entries)
     raise ConfigurationError(f"unknown start strategy {strategy!r}")
+
+
+def _linking_direction(bands: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the smallest positive eigenvalue of a banded operator.
+
+    Inverse iteration with the computed eigenvalue as shift: its error is at
+    roundoff, so each solve multiplies the wanted component by about
+    gap / (eps ||H0||) against the others and one or two solves reach the
+    roundoff residual.  Diagonal entries of U below eps ||H0|| are raised to
+    that size (as LAPACK's tridiagonal inverse iteration does), so an
+    eigenvalue that is exact in floating point gives no zero division.  The
+    fixed start vector comes from a private generator, leaving the caller's
+    random starts unchanged.
+    """
+    eigenvalues = scipy.linalg.eigvals_banded(bands, lower=True)
+    positive = eigenvalues[eigenvalues > 0]
+    if not positive.size:
+        raise NumericalError("operator has no positive eigenvalues")
+    lam = positive[0]
+    bw = bands.shape[0] - 1
+    floor = np.finfo(float).eps * max(-eigenvalues[0], eigenvalues[-1])
+    shifted = bands.copy()
+    shifted[0] -= lam
+    lu, piv, _ = scipy.linalg.lapack.dgbtrf(_general_band(shifted), bw, bw, overwrite_ab=1)
+    diag = lu[2 * bw]  # the diagonal of U, a view into lu
+    tiny = np.abs(diag) < floor
+    diag[tiny] = np.copysign(floor, diag[tiny])
+    v = np.random.default_rng(0).standard_normal(bands.shape[1])
+    for _ in range(LINKING_SOLVES):
+        v, _ = scipy.linalg.lapack.dgbtrs(lu, bw, bw, v, piv)
+        v /= np.linalg.norm(v)
+        if np.linalg.norm(banded_matvec(bands, v) - lam * v) <= (2 * bw + 1) * floor:
+            break
+    return v if v[np.argmax(np.abs(v))] > 0 else -v
 
 
 def _node_hessians(ctx: FunctionalContext, x: BlockVector) -> np.ndarray:
@@ -244,19 +295,29 @@ def _jacobian(op: TruncatedOperator, hess_blocks: np.ndarray) -> np.ndarray:
     return bands
 
 
+def _general_band(sym: np.ndarray) -> np.ndarray:
+    """LAPACK general-band storage of a matrix in symmetric lower-band storage.
+
+    M[i, j] sits at ab[2 bw + i - j, j]; the top bw rows are LU fill-in space.
+    """
+    bw = sym.shape[0] - 1
+    dim = sym.shape[1]
+    ab = np.zeros((3 * bw + 1, dim))
+    for k in range(min(bw + 1, dim)):
+        ab[2 * bw + k, : dim - k] = sym[k, : dim - k]
+        ab[2 * bw - k, k:] = sym[k, : dim - k]
+    return ab
+
+
 def _solve_linear(jac: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     """Solve jac x = rhs, jac in symmetric lower-band storage, by one banded LU.
 
     Returns None when ``dgbsv`` reports a singular factor or x is not finite.
     """
     bw = jac.shape[0] - 1
-    dim = jac.shape[1]
-    # M[i, j] sits at ab[2 bw + i - j, j]; the top bw rows are LU fill-in space
-    ab = np.zeros((3 * bw + 1, dim))
-    for k in range(min(bw + 1, dim)):
-        ab[2 * bw + k, : dim - k] = jac[k, : dim - k]
-        ab[2 * bw - k, k:] = jac[k, : dim - k]
-    _, _, x, info = scipy.linalg.lapack.dgbsv(bw, bw, ab, rhs, overwrite_ab=1)
+    _, _, x, info = scipy.linalg.lapack.dgbsv(
+        bw, bw, _general_band(jac), rhs, overwrite_ab=1
+    )
     if info != 0 or not np.all(np.isfinite(x)):
         return None
     return x
@@ -280,11 +341,7 @@ def newton_solve(
     described in the module docstring.
     """
     opts = opts or SolveOptions()
-    if ctx.window.boundary is not Boundary.ZERO_PAD:
-        raise ConfigurationError(
-            "the orbit search runs on zero-pad windows; periodic windows are for "
-            "spectral certification only"
-        )
+    _require_zero_pad(ctx)
     ctx._check(x0)
     window = ctx.window
 
@@ -451,8 +508,6 @@ def multi_start(ctx: FunctionalContext, opts: Optional[SolveOptions] = None) -> 
     opts = opts or SolveOptions()
     if not opts.starts:
         raise ConfigurationError("opts.starts must not be empty")
-    if any(s.kind == "linking" for s in opts.starts):
-        ctx = ctx.with_decomposition()
     rng = np.random.default_rng(opts.seed)
     successes: list[SolveResult] = []
     for strategy in opts.starts:

@@ -75,3 +75,8 @@ def random_window(
         return Window.zero_pad(half)
     cells = max(2, (2 * half + 1) // period)
     return Window.periodic_cells(period, cells)
+
+
+def reject_constant(name: str):
+    """``json.loads`` hook that refuses the non-standard NaN / Infinity literals."""
+    raise ValueError(f"{name} is not strict JSON")

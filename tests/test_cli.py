@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from dhlattice.cli import (
@@ -13,12 +14,13 @@ from dhlattice.cli import (
     load_config,
     main,
 )
+from helpers import reject_constant
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=reject_constant)
 
 
 @pytest.fixture()
@@ -124,6 +126,20 @@ class TestCheckCommand:
         code, report = run_cli(capsys, "check", "--config", str(path))
         assert code == EXIT_CONFIG_ERROR
         assert "finite" in report["error"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_prints_strict_json(self, capsys, tmp_path):
+        # the radial profile overflows: the non-finite numbers it reports
+        # are written as null, never as the NaN / Infinity literals
+        raw = json.loads(builtin_config_path("model").read_text())
+        raw["nonlinearity"]["nu"] = 1e300
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(raw))
+        code = main(["check", "--config", str(path)])
+        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert code == EXIT_CHECK_FAILED
+        assert report["growth_envelope"]["constant"] is None
+        assert report["checks"]["R1"]["witness"]["residual"] is None
 
     @pytest.mark.parametrize("command", ["check", "spectrum", "solve", "verify"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -409,6 +425,27 @@ class TestVerifyCommand:
         )
         assert code == EXIT_CONFIG_ERROR
         assert "error" in report
+
+    def test_orbit_csv_labels_parse_as_int_and_rows_keep_their_width(
+        self, solved, model_config_path
+    ):
+        from dhlattice.cli import ConfigurationError, _read_orbit_csv
+
+        config_path, orbit_path = solved
+        window = load_config(model_config_path).build_window()
+        header, *rows = orbit_path.read_text().splitlines()
+        edited = orbit_path.parent / "edited.csv"
+        # int() accepts a signed, padded label, so the orbit reads the same
+        signed = [f" +{r}" if r.startswith("1,") else r for r in rows]
+        edited.write_text("\n".join([header] + signed) + "\n")
+        np.testing.assert_array_equal(
+            _read_orbit_csv(str(edited), window, 1).entries,
+            _read_orbit_csv(str(orbit_path), window, 1).entries,
+        )
+        short = [rows[0].rsplit(",", 1)[0]] + rows[1:]
+        edited.write_text("\n".join([header] + short) + "\n")
+        with pytest.raises(ConfigurationError, match="row 2 has 2 columns"):
+            _read_orbit_csv(str(edited), window, 1)
 
     def test_orbit_csv_full_precision_round_trip(self, solved, model_config_path):
         config_path, orbit_path = solved

@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhlattice import (
     BlockVector,
@@ -15,6 +18,7 @@ from dhlattice import (
     assemble,
     continuation,
     deduplicate_results,
+    default_starts,
     eigendecompose,
     family_quadratic,
     family_radial_rational,
@@ -26,7 +30,13 @@ from dhlattice import (
 )
 from dhlattice.cli import builtin_config_path, load_config
 from dhlattice.solver import STAGNATION_RATIO, STAGNATION_WINDOW
-from helpers import model_coefficients, random_block_vector
+from helpers import (
+    model_coefficients,
+    n2_coefficients,
+    period2_coefficients,
+    random_block_vector,
+    random_coefficients,
+)
 
 
 def model_ctx(half_width=64):
@@ -65,6 +75,13 @@ class TestInitialGuess:
         applied = ctx.op.apply(x)
         np.testing.assert_allclose(applied.entries, lam * x.entries, atol=1e-10)
 
+    def test_periodic_window_rejected(self):
+        ctx = FunctionalContext(
+            assemble(Window.periodic(8), model_coefficients()), family_radial_rational(4.0)
+        )
+        with pytest.raises(ConfigurationError, match="zero-pad"):
+            initial_guess("linking", ctx, 1.0)
+
     def test_gaussian_profile(self):
         ctx = model_ctx(8)
         x = initial_guess("gaussian", ctx, 2.0, width=3.0)
@@ -102,6 +119,64 @@ class TestInitialGuess:
         values = np.array(values)
         assert values[0] > 0.0
         assert values.min() < 0.0  # bracket exists inside [1e-2, 1e2]
+
+
+def assert_linking_is_dense_eigenvector(op):
+    """The linking start against the dense eigh eigenvector of the smallest
+    positive eigenvalue: equal up to sign, and largest entry positive."""
+    ctx = FunctionalContext(op, family_radial_rational(4.0, block_dim=op.block_dim))
+    v = initial_guess("linking", ctx, 1.0).flat
+    values, vectors = scipy.linalg.eigh(op.to_dense())
+    lam = values[values > 0][0]
+    # a degenerate smallest positive eigenvalue admits any vector of its eigenspace
+    basis = vectors[:, np.abs(values - lam) <= 1e-8 * np.abs(values).max()]
+    if basis.shape[1] == 1:
+        u = basis[:, 0]
+        assert min(np.abs(v - u).max(), np.abs(v + u).max()) < 1e-10
+    assert np.abs(v - basis @ (basis.T @ v)).max() < 1e-10
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    assert v[np.argmax(np.abs(v))] > 0
+
+
+class TestLinkingStart:
+    @pytest.mark.parametrize("name", ["model", "period2", "n2"])
+    def test_shipped_window(self, name):
+        config = load_config(str(builtin_config_path(name)))
+        assert_linking_is_dense_eigenvector(
+            assemble(config.build_window(), config.build_coefficients())
+        )
+
+    @pytest.mark.parametrize(
+        "coeffs", [model_coefficients(), period2_coefficients(), n2_coefficients()]
+    )
+    @pytest.mark.parametrize("half_width", [0, 1])
+    def test_one_and_three_node_windows(self, coeffs, half_width):
+        assert_linking_is_dense_eigenvector(assemble(Window.zero_pad(half_width), coeffs))
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        block_dim=st.sampled_from([1, 2]),
+        period=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        half_width=st.integers(0, 24),
+    )
+    def test_random_coefficients(self, block_dim, period, seed, half_width):
+        coeffs = random_coefficients(block_dim, period, np.random.default_rng(seed))
+        assert_linking_is_dense_eigenvector(assemble(Window.zero_pad(half_width), coeffs))
+
+    def test_multi_start_makes_no_dense_eigensolve(self, monkeypatch):
+        import dhlattice.functional
+        import dhlattice.spectral
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense eigensolve in the orbit search")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(dhlattice.spectral, "eigendecompose", forbidden)
+        monkeypatch.setattr(dhlattice.functional, "eigendecompose", forbidden)
+        results = multi_start(model_ctx(), SolveOptions(starts=default_starts()))
+        assert results and all(r.success for r in results)
 
 
 class TestNewtonSolve:
@@ -284,7 +359,7 @@ def test_shipped_starts_are_pinned(name):
     ctx = FunctionalContext(
         assemble(config.build_window(), config.build_coefficients()),
         config.build_nonlinearity(),
-    ).with_decomposition()
+    )
     opts = config.build_solve_options()
     rng = np.random.default_rng(opts.seed)
     got = []
