@@ -18,7 +18,6 @@ from .core import (
     lp_norm,
     reembed,
     shift,
-    symplectic_matrix,
 )
 from .functional import FunctionalContext, Phi, Phi_split, Psi, energy_defect, grad_Phi
 from .manufactured import ManufacturedProblem, manufactured_problem
@@ -53,7 +52,6 @@ from .solver import (
     SolveOptions,
     SolveResult,
     StartStrategy,
-    continuation,
     deduplicate_results,
     default_starts,
     initial_guess,
@@ -63,7 +61,6 @@ from .solver import (
 from .verify import (
     DecayFit,
     VerificationReport,
-    VerifyThresholds,
     decay_fit,
     energy_identity_check,
     residual_DHS,

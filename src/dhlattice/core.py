@@ -59,15 +59,6 @@ class Boundary(str, enum.Enum):
     PERIODIC = "periodic"
 
 
-def symplectic_matrix(block_dim: int) -> np.ndarray:
-    """The 2N x 2N matrix [[0, -I], [I, 0]]."""
-    n = block_dim
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = -np.eye(n)
-    j[n:, :n] = np.eye(n)
-    return j
-
-
 def coupling_matrix(block_dim: int) -> np.ndarray:
     """The 2N x 2N matrix [[0, -I], [-I, 0]] used in the coercivity test."""
     n = block_dim
@@ -184,12 +175,6 @@ class BlockVector:
         ):
             return np.zeros(2 * self.block_dim)
         return self.entries[self.window.index_of(n)]
-
-    def x1(self) -> np.ndarray:
-        return self.entries[:, : self.block_dim]
-
-    def x2(self) -> np.ndarray:
-        return self.entries[:, self.block_dim :]
 
     def with_entries(self, entries: np.ndarray) -> "BlockVector":
         return BlockVector(self.window, self.block_dim, entries)

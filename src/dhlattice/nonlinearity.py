@@ -23,7 +23,18 @@ small-amplitude condition (R2) and is used as a negative control.
 
 The hypotheses quantify over all of R^{2N}, so the checker is a sampling-based
 falsifier, not a proof: a "pass" only means no violation was found under the
-given sampling plan.
+given sampling plan.  The grid is fixed; only its random directions depend on
+``SamplingPlan.seed``:
+
+* SAMPLE_RADII             64 log-spaced radii from 1e-8 to 1e8
+* DIRECTIONS_PER_RADIUS    32 random unit directions per radius and node
+* PERIODICITY_TOL = 1e-12  relative (R1) periodicity residual
+* DELTA_GRID_SIZE = 50     log-spaced delta values in the (R4) scan
+* ENVELOPE_P = 4.0, ENVELOPE_EPS = 0.1
+                           the growth envelope |grad R| <= eps|z| + C|z|^(p-1)
+
+The grid is evaluated with floating-point warnings off: a sample where R or
+grad R is not finite fails (R1) with that sample as its witness.
 """
 
 from __future__ import annotations
@@ -40,6 +51,13 @@ ORIGIN_TOL = 1e-12
 NONNEGATIVITY_TOL = 1e-12
 VANISHING_RATIO_TOL = 1e-6
 VANISHING_SLOPE_MIN = 0.1
+SAMPLE_RADII = np.geomspace(1e-8, 1e8, 64)
+SAMPLE_RADII.flags.writeable = False
+DIRECTIONS_PER_RADIUS = 32
+PERIODICITY_TOL = 1e-12
+DELTA_GRID_SIZE = 50
+ENVELOPE_P = 4.0
+ENVELOPE_EPS = 0.1
 
 PASS = "pass"
 FAIL = "fail"
@@ -209,19 +227,15 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SamplingPlan:
-    """Radial/directional grid over which the hypotheses are falsified."""
+    """Seed of the random directions on the fixed sample grid (module docstring)."""
 
-    radii: np.ndarray
-    directions_per_radius: int = 32
     seed: int = 0
-    delta_grid_size: int = 50
-    periodicity_tol: float = 1e-12
 
     @classmethod
     def default(cls, seed: int = 0) -> "SamplingPlan":
-        return cls(radii=np.geomspace(1e-8, 1e8, 64), seed=seed)
+        return cls(seed=seed)
 
 
 @dataclass
@@ -310,30 +324,27 @@ def _vanishing_status(
     )
 
 
-def growth_envelope_constant(
-    nl: Nonlinearity,
-    plan: SamplingPlan,
-    p: float = 4.0,
-    eps: float = 0.1,
-) -> dict:
-    """Fit the smallest C with |grad R(n,z)| <= eps |z| + C |z|^(p-1) on the plan grid."""
+def growth_envelope_constant(nl: Nonlinearity, plan: SamplingPlan) -> dict:
+    """Fit the smallest C with |grad R(n,z)| <= eps |z| + C |z|^(p-1) on the plan grid,
+    for p = ENVELOPE_P and eps = ENVELOPE_EPS."""
     rng = np.random.default_rng(plan.seed + 1)
-    radii = np.asarray(plan.radii, dtype=float)[:, None]
+    radii = SAMPLE_RADII[:, None]
     # drawn in (node, radius, direction) order
     dirs = rng.standard_normal(
-        (nl.period, radii.shape[0], plan.directions_per_radius, 2 * nl.block_dim)
+        (nl.period, radii.shape[0], DIRECTIONS_PER_RADIUS, 2 * nl.block_dim)
     )
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     nodes = np.arange(nl.period)[:, None, None]
     g = np.asarray(nl.gradient(nodes, radii[..., None] * dirs), dtype=float)
-    excess = np.sqrt(np.vecdot(g, g)) - eps * radii
-    ratio = excess / np.float_power(radii, p - 1.0)
+    excess = np.sqrt(np.vecdot(g, g)) - ENVELOPE_EPS * radii
+    ratio = excess / np.float_power(radii, ENVELOPE_P - 1.0)
     worst = float(ratio[excess > 0.0].max(initial=0.0))
-    return {"p": p, "eps": eps, "constant": worst}
+    return {"p": ENVELOPE_P, "eps": ENVELOPE_EPS, "constant": worst}
 
 
 def _sample_grid(nl: Nonlinearity, plan: SamplingPlan):
-    """Evaluate R, |grad R|/|z|, tilde R, and the S_inf remainder on the plan.
+    """Evaluate R, |grad R|/|z|, tilde R, and the S_inf remainder on the plan,
+    and whether R and grad R are finite at each sample.
 
     tilde R is the difference of two terms that both grow like |z|^2, so its
     floating-point value carries a cancellation error proportional to their
@@ -341,8 +352,8 @@ def _sample_grid(nl: Nonlinearity, plan: SamplingPlan):
     threshold tests do not misread roundoff as a violation.
     """
     rng = np.random.default_rng(plan.seed)
-    radii = np.asarray(plan.radii, dtype=float)
-    dirs_all = rng.standard_normal((len(radii), plan.directions_per_radius, 2 * nl.block_dim))
+    radii = SAMPLE_RADII
+    dirs_all = rng.standard_normal((len(radii), DIRECTIONS_PER_RADIUS, 2 * nl.block_dim))
     dirs_all /= np.linalg.norm(dirs_all, axis=2, keepdims=True)
     eps_guard = 64.0 * np.finfo(float).eps
     nodes, z = _grid_points(nl, radii, dirs_all)
@@ -355,7 +366,8 @@ def _sample_grid(nl: Nonlinearity, plan: SamplingPlan):
     s_inf = nl.s_infinity[:, None, None]
     asym = g - (s_inf @ z[..., None])[..., 0]
     asym_ratio = np.sqrt(np.vecdot(asym, asym)) / radii[:, None]
-    return radii, dirs_all, r_vals, tilde_vals, tilde_floor, grad_ratio, asym_ratio
+    finite = np.isfinite(r_vals) & np.isfinite(g).all(axis=-1)
+    return radii, dirs_all, r_vals, tilde_vals, tilde_floor, grad_ratio, asym_ratio, finite
 
 
 def _grid_points(nl: Nonlinearity, radii: np.ndarray, dirs: np.ndarray):
@@ -364,19 +376,21 @@ def _grid_points(nl: Nonlinearity, radii: np.ndarray, dirs: np.ndarray):
     return np.arange(nl.period)[:, None, None], np.broadcast_to(z, (nl.period,) + z.shape)
 
 
+def _sample_witness(index, radii: np.ndarray, dirs: np.ndarray) -> dict:
+    """Node, radius and direction of the grid sample at ``index`` = (n, i, j)."""
+    n, i, j = index
+    return {"n": int(n), "radius": float(radii[i]), "direction": [float(v) for v in dirs[i, j]]}
+
+
 def _worst_witness(
     values: np.ndarray, radii: np.ndarray, dirs: np.ndarray, pick_min: bool
 ) -> dict:
     flat = int(values.argmin() if pick_min else values.argmax())
-    n, i, j = np.unravel_index(flat, values.shape)
-    return {
-        "n": int(n),
-        "radius": float(radii[i]),
-        "direction": [float(v) for v in dirs[i, j]],
-        "value": float(values[n, i, j]),
-    }
+    index = np.unravel_index(flat, values.shape)
+    return {**_sample_witness(index, radii, dirs), "value": float(values[index])}
 
 
+@np.errstate(all="ignore")
 def check_hypotheses(
     nl: Nonlinearity,
     coeffs: PeriodicCoefficients,
@@ -384,7 +398,8 @@ def check_hypotheses(
 ) -> HypothesisReport:
     """Falsify the hypotheses (R0)-(R4) on a structured sample grid.
 
-    Failures are report entries carrying witnesses, never exceptions.  The
+    Failures are report entries carrying witnesses, never exceptions or
+    floating-point warnings: a non-finite sample fails (R1).  The
     (R4) scan looks for a single delta that works uniformly over all sampled
     nodes and amplitudes (the strong reading); the estimate is the largest
     grid value for which every sample with |grad R| >= (lambda0 - delta)|z|
@@ -401,11 +416,13 @@ def check_hypotheses(
         f"lambda0 = {lam0:.6g}, Lambda0 = {lam1:.6g}",
     )
 
-    radii, dirs_all, r_vals, tilde_vals, tilde_floor, grad_ratio, asym_ratio = _sample_grid(
-        nl, plan
+    radii, dirs_all, r_vals, tilde_vals, tilde_floor, grad_ratio, asym_ratio, finite = (
+        _sample_grid(nl, plan)
     )
 
-    # (R1): periodicity in n on a thinned subsample.
+    # (R1): R and grad R finite on the grid, and periodicity in n on a
+    # thinned subsample.
+    nonfinite = np.argwhere(~finite)
     nodes, z = _grid_points(nl, radii[::4], dirs_all[::4, ::8])
     shifted = nodes + nl.period
     v = np.asarray(nl.value(nodes, z), dtype=float)
@@ -415,14 +432,21 @@ def check_hypotheses(
     dg = np.abs(g_shift - g).max(axis=-1) / np.maximum(1.0, np.abs(g).max(axis=-1))
     # np.max propagates NaN, so a non-finite residual fails the check
     worst_period = float(np.max(np.concatenate([dv.ravel(), dg.ravel()]), initial=0.0))
-    if worst_period <= plan.periodicity_tol:
+    if nonfinite.size:
         checks["R1"] = HypothesisCheck(
-            PASS, f"periodicity residual {worst_period:.3e} within {plan.periodicity_tol:.0e}"
+            FAIL,
+            f"R or grad R is not finite at {len(nonfinite)} of {finite.size} samples; "
+            "the witness is the first",
+            witness=_sample_witness(nonfinite[0], radii, dirs_all),
+        )
+    elif worst_period <= PERIODICITY_TOL:
+        checks["R1"] = HypothesisCheck(
+            PASS, f"periodicity residual {worst_period:.3e} within {PERIODICITY_TOL:.0e}"
         )
     else:
         checks["R1"] = HypothesisCheck(
             FAIL,
-            f"periodicity residual {worst_period:.3e} exceeds {plan.periodicity_tol:.0e}",
+            f"periodicity residual {worst_period:.3e} exceeds {PERIODICITY_TOL:.0e}",
             witness={"residual": worst_period},
         )
 
@@ -484,7 +508,7 @@ def check_hypotheses(
         lam0_coeff = coeffs.lambda0
         ratios = grad_ratio.ravel()
         tildes_slack = (tilde_vals + tilde_floor).ravel()
-        deltas = np.geomspace(1e-4 * lam0_coeff, 0.999 * lam0_coeff, plan.delta_grid_size)
+        deltas = np.geomspace(1e-4 * lam0_coeff, 0.999 * lam0_coeff, DELTA_GRID_SIZE)
         for delta in deltas[::-1]:
             mask = ratios >= lam0_coeff - delta
             if not mask.any() or tildes_slack[mask].min() >= delta:

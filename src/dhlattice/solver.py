@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -66,7 +66,7 @@ from .core import (
 )
 from .functional import FunctionalContext, Phi
 from .operators import TruncatedOperator, assemble, banded_matvec
-from .verify import VerificationReport, VerifyThresholds, verify_orbit
+from .verify import TRIVIAL_TOL, VerificationReport, verify_orbit
 
 POLISH_FLOOR = 1e-13
 STAGNATION_WINDOW = 30
@@ -75,6 +75,7 @@ BACKTRACK_MIN = 2.0**-40
 BACKTRACK_SHRINK = 0.5
 ARMIJO = 1e-4
 LINKING_SOLVES = 4
+DUPLICATE_TOL = 1e-6
 START_KINDS = ("linking", "gaussian", "random")
 
 
@@ -124,10 +125,9 @@ class SolveOptions:
 
     max_iter: int = 200
     grad_tol: float = 1e-10
-    trivial_tol: float = 1e-6
+    trivial_tol: float = TRIVIAL_TOL
     starts: tuple[StartStrategy, ...] = field(default_factory=default_starts)
     seed: int = 0
-    thresholds: VerifyThresholds = field(default_factory=VerifyThresholds)
 
     def __post_init__(self) -> None:
         require_int("max_iter", self.max_iter, 1)
@@ -196,34 +196,32 @@ def initial_guess(
     positive, times ``amplitude``; it is computed from the band storage by
     inverse iteration (module docstring) and raises ConfigurationError on a
     periodic window.  ``gaussian`` is a bump of the given width along the
-    diagonal direction; ``random`` draws from ``rng``.
+    diagonal direction; ``random`` draws from ``rng``.  A bad kind, amplitude
+    or width raises ConfigurationError, as in StartStrategy.
     """
     if isinstance(strategy, StartStrategy):
         width = strategy.width if width is None else width
         strategy = strategy.kind
-    if amplitude < 0:
-        raise ConfigurationError("amplitude must be nonnegative")
+    start = StartStrategy(strategy, amplitude, width)
     window = ctx.window
     n2 = 2 * ctx.op.block_dim
-    if strategy == "linking":
+    if start.kind == "linking":
         _require_zero_pad(ctx)
         flat = amplitude * _linking_direction(ctx.op.bands)
         return BlockVector.from_flat(window, ctx.op.block_dim, flat)
-    if strategy == "gaussian":
+    if start.kind == "gaussian":
         w = width if width is not None else max(window.half_width, 1) / 8.0
         direction = np.ones(n2) / np.sqrt(n2)
         profile = amplitude * np.exp(-((window.nodes / w) ** 2))
         return BlockVector(window, ctx.op.block_dim, np.outer(profile, direction))
-    if strategy == "random":
-        rng = rng or np.random.default_rng(0)
-        entries = rng.standard_normal((window.num_nodes, n2))
-        norm = np.linalg.norm(entries)
-        if norm > 0 and amplitude > 0:
-            entries *= amplitude / norm
-        else:
-            entries *= 0.0
-        return BlockVector(window, ctx.op.block_dim, entries)
-    raise ConfigurationError(f"unknown start strategy {strategy!r}")
+    rng = rng or np.random.default_rng(0)
+    entries = rng.standard_normal((window.num_nodes, n2))
+    norm = np.linalg.norm(entries)
+    if norm > 0 and amplitude > 0:
+        entries *= amplitude / norm
+    else:
+        entries *= 0.0
+    return BlockVector(window, ctx.op.block_dim, entries)
 
 
 def _linking_direction(bands: np.ndarray) -> np.ndarray:
@@ -461,12 +459,11 @@ def newton_solve(
 def verify_candidate(
     ctx: FunctionalContext, orbit: BlockVector, opts: SolveOptions
 ) -> VerificationReport:
-    """Every orbit check, with the options' thresholds and trivial_tol; the
-    window-doubling re-solve reuses the options without starts."""
+    """Every orbit check, with the options' trivial_tol; the window-doubling
+    re-solve reuses the options without starts."""
     return verify_orbit(
         ctx,
         orbit,
-        replace(opts.thresholds, trivial_tol=opts.trivial_tol),
         ctx_builder=lambda w: FunctionalContext(assemble(w, ctx.op.coeffs), ctx.nl),
         solve_opts=replace(opts, starts=()),
     )
@@ -483,16 +480,14 @@ def _aligned_distance(a: BlockVector, b: BlockVector, period: int) -> float:
     return best
 
 
-def deduplicate_results(
-    results: Sequence[SolveResult], period: int, tol: float = 1e-6
-) -> list[SolveResult]:
-    """Collapse orbits equal up to a period shift, keeping the cleanest copy."""
+def deduplicate_results(results: Sequence[SolveResult], period: int) -> list[SolveResult]:
+    """Collapse orbits within DUPLICATE_TOL up to a period shift, keeping the cleanest copy."""
     ordered = sorted(results, key=lambda r: (r.phi_value, r.grad_inf_norm, r.start_used))
     kept: list[SolveResult] = []
     for res in ordered:
         dup_at = None
         for i, existing in enumerate(kept):
-            if _aligned_distance(existing.orbit, res.orbit, period) < tol:
+            if _aligned_distance(existing.orbit, res.orbit, period) < DUPLICATE_TOL:
                 dup_at = i
                 break
         if dup_at is None:
@@ -517,34 +512,3 @@ def multi_start(ctx: FunctionalContext, opts: Optional[SolveOptions] = None) -> 
             successes.append(result)
     return deduplicate_results(successes, ctx.op.coeffs.period)
 
-
-def continuation(
-    ctx_family: Callable[[float], FunctionalContext],
-    nu_from: float,
-    nu_to: float,
-    steps: int,
-    opts: Optional[SolveOptions] = None,
-) -> list[tuple[float, SolveResult]]:
-    """Walk a parameter geometrically, reseeding each solve with the last orbit.
-
-    The first parameter value is solved from the configured starts and must
-    succeed; later steps are seeded with the previous orbit and the walk stops
-    at the first non-success, so the last entry records the last good value.
-    """
-    opts = opts or SolveOptions()
-    if steps < 1:
-        raise ConfigurationError("steps must be at least 1")
-    if nu_from <= 0 or nu_to <= 0:
-        raise ConfigurationError("geometric continuation needs positive parameter values")
-    nus = np.geomspace(nu_from, nu_to, steps)
-    first = multi_start(ctx_family(float(nus[0])), opts)
-    if not first:
-        raise NumericalError(f"no verified orbit found at the starting value {nu_from:g}")
-    entries: list[tuple[float, SolveResult]] = [(float(nus[0]), first[0])]
-    for nu in nus[1:]:
-        ctx = ctx_family(float(nu))
-        result = newton_solve(ctx, entries[-1][1].orbit, opts, start_tag=f"continuation(nu={nu:g})")
-        if not result.success:
-            break
-        entries.append((float(nu), result))
-    return entries

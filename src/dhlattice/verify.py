@@ -16,6 +16,17 @@ over the outer tail of the window, with a shared slope and one intercept per
 side, must give a per-node rate below 1 with r^2 above 0.99.  Window-doubling
 re-solves the system on a window twice as wide, seeded with the zero-padded
 orbit, and reports the drift on the original nodes.
+
+The tolerances are fixed module constants:
+
+* RESIDUAL_TOL = 1e-9        max block norm of the difference-equation residual
+* ENERGY_TOL = 1e-8          |Phi(x) - sum tilde R| at the orbit
+* WINDOW_DRIFT_TOL = 1e-8    drift on the original nodes after window doubling
+* DECAY_RATE_MAX = 1.0       fitted per-node decay rate must lie below it
+* R_SQUARED_MIN = 0.99       r^2 of the decay fit must exceed it
+* TAIL_FRACTION = 0.25       share of usable nodes per side in the decay fit
+* TRIVIAL_TOL = 1e-6         default of ``SolveOptions.trivial_tol``: an orbit
+                             with max block norm at or below it is trivial
 """
 
 from __future__ import annotations
@@ -37,17 +48,13 @@ from .core import (
 from .functional import FunctionalContext, Phi, tildeR_sum
 from .nonlinearity import Nonlinearity
 
-
-@dataclass(frozen=True)
-class VerifyThresholds:
-    """Tolerances an orbit must meet to count as verified."""
-
-    residual: float = 1e-9
-    energy: float = 1e-8
-    window_drift: float = 1e-8
-    decay_rate_max: float = 1.0
-    r_squared_min: float = 0.99
-    trivial_tol: float = 1e-6
+RESIDUAL_TOL = 1e-9
+ENERGY_TOL = 1e-8
+WINDOW_DRIFT_TOL = 1e-8
+DECAY_RATE_MAX = 1.0
+R_SQUARED_MIN = 0.99
+TAIL_FRACTION = 0.25
+TRIVIAL_TOL = 1e-6
 
 
 def residual_DHS(
@@ -92,18 +99,16 @@ class DecayFit:
 FIT_FLOOR = 1e-14
 
 
-def decay_fit(x: BlockVector, tail_fraction: float = 0.25) -> DecayFit:
+def decay_fit(x: BlockVector) -> DecayFit:
     """Geometric decay rate per node fitted on the outer tails of the orbit.
 
     Fits log|x(n)| = a_side + s|n| by least squares over the outer
-    ``tail_fraction`` of usable nodes on each side of the center and returns
-    rate = exp(s).  Usable means block norm at least 1e-14: orbits decay below
-    double precision well inside wide windows, so the tail is taken from what
-    the floating-point representation actually resolves.  Fewer than 4 usable
-    tail nodes overall gives an inconclusive result.
+    TAIL_FRACTION of usable nodes on each side of the center and returns
+    rate = exp(s).  Usable means block norm at least FIT_FLOOR: orbits decay
+    below double precision well inside wide windows, so the tail is taken from
+    what the floating-point representation actually resolves.  Fewer than 4
+    usable tail nodes overall gives an inconclusive result.
     """
-    if not 0.0 < tail_fraction <= 0.5:
-        raise ValueError("tail_fraction must lie in (0, 0.5]")
     norms = np.linalg.norm(x.entries, axis=1)
     nodes = x.window.nodes
     rows: list[tuple[float, float, float]] = []  # (|n|, log|x|, side)
@@ -112,7 +117,7 @@ def decay_fit(x: BlockVector, tail_fraction: float = 0.25) -> DecayFit:
         side_count = int(usable.sum())
         if side_count == 0:
             continue
-        width = max(2, int(round(tail_fraction * side_count)))
+        width = max(2, int(round(TAIL_FRACTION * side_count)))
         dist = np.where(usable, np.abs(nodes), -1)
         picked = np.argsort(dist)[-min(width, side_count):]
         for i in picked:
@@ -163,23 +168,22 @@ def window_stability(
 
 @dataclass(eq=False)
 class VerificationReport:
-    """Outcome of all orbit checks; ``passed`` iff every enabled check is in tolerance."""
+    """Outcome of all orbit checks; ``passed`` iff every check run is in tolerance."""
 
     dhs_residual_inf: float
     energy_identity_defect: float
     orbit_linf: float
-    decay: Optional[DecayFit] = None
+    decay: DecayFit
     window_stability_inf: Optional[float] = None
     checks: dict = field(default_factory=dict)
     passed: bool = False
-    thresholds: VerifyThresholds = field(default_factory=VerifyThresholds)
 
     def to_dict(self) -> dict:
         return {
             "dhs_residual_inf": self.dhs_residual_inf,
             "energy_identity_defect": self.energy_identity_defect,
             "orbit_linf": self.orbit_linf,
-            "decay": self.decay.to_dict() if self.decay is not None else None,
+            "decay": self.decay.to_dict(),
             "window_stability_inf": self.window_stability_inf,
             "checks": dict(self.checks),
             "passed": self.passed,
@@ -189,44 +193,35 @@ class VerificationReport:
 def verify_orbit(
     ctx: FunctionalContext,
     x: BlockVector,
-    thresholds: Optional[VerifyThresholds] = None,
     *,
     ctx_builder: Optional[Callable[[Window], FunctionalContext]] = None,
     solve_opts=None,
-    window_check: bool = True,
 ) -> VerificationReport:
     """Run every orbit check and combine them into a report.
 
-    Decay and window-doubling apply on zero-pad windows only; the doubling
-    re-solve additionally needs ``ctx_builder`` and ``solve_opts``.
+    ``x`` must live on a zero-pad window (``residual_DHS`` raises ValueError
+    otherwise).  ``solve_opts`` supplies ``trivial_tol`` for the nontrivial
+    check (TRIVIAL_TOL without it); the window-doubling re-solve runs only
+    when both ``ctx_builder`` and ``solve_opts`` are given.
     """
-    thresholds = thresholds or VerifyThresholds()
+    trivial_tol = TRIVIAL_TOL if solve_opts is None else solve_opts.trivial_tol
     _, res_inf = residual_DHS(ctx.op.coeffs, ctx.nl, x)
     energy = energy_identity_check(ctx, x)
     linf = lp_norm(x, np.inf)
+    fit = decay_fit(x)
     checks = {
-        "residual": res_inf <= thresholds.residual,
-        "energy_identity": energy <= thresholds.energy,
-        "nontrivial": linf > thresholds.trivial_tol,
+        "residual": res_inf <= RESIDUAL_TOL,
+        "energy_identity": energy <= ENERGY_TOL,
+        "nontrivial": linf > trivial_tol,
+        "decay": fit.conclusive and fit.rate < DECAY_RATE_MAX and fit.r_squared > R_SQUARED_MIN,
     }
     report = VerificationReport(
-        dhs_residual_inf=res_inf,
-        energy_identity_defect=energy,
-        orbit_linf=linf,
-        thresholds=thresholds,
+        dhs_residual_inf=res_inf, energy_identity_defect=energy, orbit_linf=linf, decay=fit
     )
-    if x.window.boundary is Boundary.ZERO_PAD:
-        fit = decay_fit(x)
-        report.decay = fit
-        checks["decay"] = (
-            fit.conclusive
-            and fit.rate < thresholds.decay_rate_max
-            and fit.r_squared > thresholds.r_squared_min
-        )
-        if window_check and ctx_builder is not None and solve_opts is not None:
-            drift = window_stability(ctx_builder, x, solve_opts)
-            report.window_stability_inf = drift
-            checks["window_stability"] = drift <= thresholds.window_drift
+    if ctx_builder is not None and solve_opts is not None:
+        drift = window_stability(ctx_builder, x, solve_opts)
+        report.window_stability_inf = drift
+        checks["window_stability"] = drift <= WINDOW_DRIFT_TOL
     report.checks = checks
     report.passed = all(checks.values())
     return report

@@ -127,19 +127,25 @@ class TestCheckCommand:
         assert code == EXIT_CONFIG_ERROR
         assert "finite" in report["error"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_prints_strict_json(self, capsys, tmp_path):
-        # the radial profile overflows: the non-finite numbers it reports
-        # are written as null, never as the NaN / Infinity literals
+        # the radial profile overflows: (R1) fails on the first non-finite
+        # sample instead of a floating-point warning, and the non-finite
+        # numbers the report carries are written as null, never as the NaN /
+        # Infinity literals
         raw = json.loads(builtin_config_path("model").read_text())
         raw["nonlinearity"]["nu"] = 1e300
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(raw))
         code = main(["check", "--config", str(path)])
-        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out, parse_constant=reject_constant)
         assert code == EXIT_CHECK_FAILED
+        assert captured.err == ""
         assert report["growth_envelope"]["constant"] is None
-        assert report["checks"]["R1"]["witness"]["residual"] is None
+        r1 = report["checks"]["R1"]
+        assert r1["status"] == "fail" and "not finite" in r1["detail"]
+        assert sorted(r1["witness"]) == ["direction", "n", "radius"]
 
     @pytest.mark.parametrize("command", ["check", "spectrum", "solve", "verify"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

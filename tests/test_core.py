@@ -14,7 +14,6 @@ from dhlattice import (
     lp_norm,
     reembed,
     shift,
-    symplectic_matrix,
 )
 from helpers import model_coefficients, random_block_vector
 
@@ -214,10 +213,8 @@ class TestReembed:
 class TestStructureMatrices:
     def test_identities(self):
         for n in (1, 2, 3):
-            j, j0 = symplectic_matrix(n), coupling_matrix(n)
-            np.testing.assert_array_equal(j @ j, -np.eye(2 * n))
+            j0 = coupling_matrix(n)
             np.testing.assert_array_equal(j0 @ j0, np.eye(2 * n))
-            np.testing.assert_array_equal(j.T, -j)
             np.testing.assert_array_equal(j0.T, j0)
 
 

@@ -14,6 +14,7 @@ from dhlattice import (
     family_radial_rational,
     growth_envelope_constant,
 )
+from dhlattice.nonlinearity import SAMPLE_RADII
 from helpers import model_coefficients, period2_coefficients
 
 
@@ -271,6 +272,23 @@ class TestCheckHypotheses:
         assert report.checks["R1"].status == "fail"
         assert report.checks["R1"].witness is not None
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_sample_fails_r1_with_witness(self):
+        nl = family_radial_rational(1e300)  # the profile overflows at large |z|
+        report = check_hypotheses(nl, model_coefficients())
+        r1 = report.checks["R1"]
+        assert r1.status == "fail" and "not finite" in r1.detail
+        n, radius = r1.witness["n"], r1.witness["radius"]
+        direction = np.array(r1.witness["direction"])
+        # the witness is the first sample, by radius, where R or grad R
+        # overflows; the profile is radial, so one direction stands for all
+        i = int(np.flatnonzero(SAMPLE_RADII == radius)[0])
+        assert i > 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            at, below = radius * direction, SAMPLE_RADII[i - 1] * direction
+            assert not np.isfinite([nl.value(n, at), *nl.gradient(n, at)]).all()
+            assert np.isfinite([nl.value(n, below), *nl.gradient(n, below)]).all()
+
     def test_deterministic_under_fixed_seed(self):
         plan = SamplingPlan.default(seed=7)
         a = check_hypotheses(family_radial_rational(4.0), model_coefficients(), plan)
@@ -290,7 +308,8 @@ class TestGrowthEnvelope:
     def test_fitted_constant_verifies(self):
         nl = family_radial_rational(4.0)
         plan = SamplingPlan.default()
-        fit = growth_envelope_constant(nl, plan, p=4.0, eps=0.1)
+        fit = growth_envelope_constant(nl, plan)
+        assert (fit["p"], fit["eps"]) == (4.0, 0.1)
         c = fit["constant"]
         assert 0.0 < c < 100.0
         # the constant is fitted on the plan grid; off-grid samples get a margin

@@ -10,13 +10,11 @@ from dhlattice import (
     BlockVector,
     ConfigurationError,
     FunctionalContext,
-    NumericalError,
     Phi,
     SolveOptions,
     StartStrategy,
     Window,
     assemble,
-    continuation,
     deduplicate_results,
     default_starts,
     eigendecompose,
@@ -100,6 +98,13 @@ class TestInitialGuess:
     def test_unknown_strategy(self):
         with pytest.raises(ConfigurationError):
             initial_guess("annealing", model_ctx(8), 1.0)
+
+    @pytest.mark.parametrize(
+        "amplitude,width", [(1.0, 0.0), (float("nan"), None), (-1.0, None), (1.0, float("inf"))]
+    )
+    def test_non_finite_gaussian_start_rejected(self, amplitude, width):
+        with pytest.raises(ConfigurationError):
+            initial_guess("gaussian", model_ctx(8), amplitude, width=width)
 
     @pytest.mark.parametrize(
         "kind,amplitude,width",
@@ -434,66 +439,6 @@ class TestMultiStart:
         merged = deduplicate_results([result, far], period=1)
         assert len(merged) == 2
         assert merged[0].phi_value <= merged[1].phi_value
-
-
-class TestContinuation:
-    def test_single_step_equals_seed(self):
-        def family(nu):
-            return FunctionalContext(
-                assemble(Window.zero_pad(32), model_coefficients()),
-                family_radial_rational(nu),
-            )
-
-        opts = SolveOptions(starts=(StartStrategy("gaussian", 1.0, width=2.0),))
-        entries = continuation(family, 4.0, 4.0, 1, opts)
-        assert len(entries) == 1
-        nu, res = entries[0]
-        assert nu == 4.0 and res.success
-        baseline = multi_start(family(4.0), opts)[0]
-        assert res.phi_value == pytest.approx(baseline.phi_value, abs=1e-12)
-
-    def test_walk_down_in_nu(self):
-        def family(nu):
-            return FunctionalContext(
-                assemble(Window.zero_pad(32), model_coefficients()),
-                family_radial_rational(nu),
-            )
-
-        opts = SolveOptions(starts=(StartStrategy("gaussian", 1.0, width=2.0),))
-        entries = continuation(family, 4.0, 3.2, 8, opts)
-        assert len(entries) >= 2
-        for nu, res in entries:
-            assert res.success
-        for (nu_a, res_a), (nu_b, res_b) in zip(entries, entries[1:]):
-            assert abs(res_b.phi_value - res_a.phi_value) < 10.0 * abs(nu_b - nu_a)
-
-    def test_exploratory_walk_past_gap_threshold_records_only(self):
-        def family(nu):
-            return FunctionalContext(
-                assemble(Window.zero_pad(32), model_coefficients()),
-                family_radial_rational(nu),
-            )
-
-        opts = SolveOptions(starts=(StartStrategy("gaussian", 1.0, width=2.0),))
-        entries = continuation(family, 4.0, 2.5, 6, opts)
-        assert 1 <= len(entries) <= 6
-        last_nu, last = entries[-1]
-        assert last.success  # every recorded entry is verified; where it stops is data
-
-    def test_failed_initial_solve_raises(self):
-        def family(nu):
-            return FunctionalContext(
-                assemble(Window.zero_pad(16), model_coefficients()),
-                family_quadratic(nu),
-            )
-
-        opts = SolveOptions(starts=(StartStrategy("random", 0.5),))
-        with pytest.raises(NumericalError):
-            continuation(family, 4.0, 5.0, 2, opts)
-
-    def test_bad_steps_rejected(self):
-        with pytest.raises(ConfigurationError):
-            continuation(lambda nu: model_ctx(8), 4.0, 3.0, 0)
 
 
 class TestSolveOptions:

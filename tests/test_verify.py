@@ -81,6 +81,9 @@ class TestResidualDHS:
         x = BlockVector.zeros(Window.periodic(8), 1)
         with pytest.raises(ValueError):
             residual_DHS(coeffs, family_radial_rational(4.0), x)
+        ctx = FunctionalContext(assemble(Window.periodic(8), coeffs), family_radial_rational(4.0))
+        with pytest.raises(ValueError):
+            verify_orbit(ctx, x)
 
 
 class TestDecayFit:
@@ -114,11 +117,6 @@ class TestDecayFit:
         entries[20] = [1.0, 0.0]  # tails are identically zero
         fit = decay_fit(BlockVector(w, 1, entries))
         assert not fit.conclusive
-
-    def test_tail_fraction_domain(self):
-        x = BlockVector.zeros(Window.zero_pad(4), 1)
-        with pytest.raises(ValueError):
-            decay_fit(x, tail_fraction=0.8)
 
     def test_converged_orbit(self, model_orbit):
         _, orbit = model_orbit
@@ -202,13 +200,13 @@ class TestVerifyOrbit:
         node_norms = np.linalg.norm(res, axis=1)
         hot = {int(n) for n, v in zip(orbit.window.nodes, node_norms) if v > 1e-3}
         assert hot and hot.issubset({-1, 0, 1})
-        report = verify_orbit(ctx, bad, window_check=False)
+        report = verify_orbit(ctx, bad)
         assert not report.passed
         assert not report.checks["residual"]
 
     def test_zero_orbit_fails_nontriviality(self):
         ctx = model_ctx(8)
-        report = verify_orbit(ctx, BlockVector.zeros(ctx.window, 1), window_check=False)
+        report = verify_orbit(ctx, BlockVector.zeros(ctx.window, 1))
         assert not report.passed
         assert not report.checks["nontrivial"]
 
@@ -216,5 +214,5 @@ class TestVerifyOrbit:
         import json
 
         ctx, orbit = model_orbit
-        report = verify_orbit(ctx, orbit, window_check=False)
+        report = verify_orbit(ctx, orbit)
         json.dumps(report.to_dict())
