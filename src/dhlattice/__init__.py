@@ -44,9 +44,7 @@ from .spectral import (
     BandStructure,
     SpectralDecomposition,
     band_structure,
-    e_norm,
     eigendecompose,
-    projectors,
 )
 from .solver import (
     SolveOptions,

@@ -84,12 +84,12 @@ class Window:
     num_nodes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.half_width < 0:
-            raise ConfigurationError("half_width must be nonnegative")
-        count = self.num_nodes if self.num_nodes is not None else 2 * self.half_width + 1
-        count = int(count)
-        if count < 1:
-            raise ConfigurationError("window must contain at least one node")
+        half_width = require_int("half_width", self.half_width, 0)
+        if self.num_nodes is None:
+            count = 2 * half_width + 1
+        else:
+            count = require_int("num_nodes", self.num_nodes, 1)
+        object.__setattr__(self, "half_width", half_width)
         object.__setattr__(self, "num_nodes", count)
         object.__setattr__(self, "boundary", Boundary(self.boundary))
         if not (self.lo <= 0 <= self.hi):

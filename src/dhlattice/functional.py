@@ -7,13 +7,16 @@ interaction density, the functional and its l2 gradient are
     grad Phi(x) = H0 x - grad R(., x(.))            (node-wise gradient)
 
 so grad Phi = 0 is exactly the truncated difference system.  Given a spectral
-decomposition the same value splits as
+decomposition H0 = V diag(lambda) V^T the same value splits as
 
     Phi(x) = (1/2) ||x+||^2 - (1/2) ||x-||^2 - Psi(x)
 
 in the |A+S|^{1/2} norm, which exhibits the saddle structure: the quadratic
 part is positive definite on the span of positive eigenvectors and negative
-definite on the rest.  The identity
+definite on the rest.  Phi_split reads both halves off the coordinates
+c = V^T x, since (1/2) lambda_i c_i^2 summed over lambda_i > 0 is
+(1/2) ||x+||^2 and minus the same sum over lambda_i < 0 is (1/2) ||x-||^2.
+The identity
 
     Phi(x) - (1/2) (grad Phi(x), x) = sum_n tildeR(n, x(n))
 
@@ -36,10 +39,18 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BlockVector, ConfigurationError, DimensionMismatchError, l2_inner
+from .core import (
+    BlockVector,
+    ConfigurationError,
+    DimensionMismatchError,
+    SpectralGapError,
+    l2_inner,
+)
 from .nonlinearity import Nonlinearity, eval_tildeR
 from .operators import TruncatedOperator, _difference_rows
-from .spectral import SpectralDecomposition, e_norm, eigendecompose, projectors
+from .spectral import SpectralDecomposition, eigendecompose
+
+GAP_EIGENVALUE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,18 +136,29 @@ def grad_Phi(ctx: FunctionalContext, x: BlockVector) -> BlockVector:
 
 
 def Phi_split(ctx: FunctionalContext, x: BlockVector) -> tuple[float, float, float]:
-    """The three terms ((1/2)||x+||^2, (1/2)||x-||^2, Psi(x)) of the saddle form."""
-    if ctx.dec is None:
+    """The three terms ((1/2)||x+||^2, (1/2)||x-||^2, Psi(x)) of the saddle form.
+
+    With c = V^T x the eigenbasis coordinates of x and q_i = (1/2) lambda_i c_i^2,
+    the first term is the sum of q_i over lambda_i > 0 and the second is minus
+    the sum over lambda_i < 0.  An eigenvalue within GAP_EIGENVALUE_TOL of zero
+    leaves the sign splitting ill-defined and raises SpectralGapError.
+    """
+    dec = ctx.dec
+    if dec is None:
         raise ConfigurationError(
             "Phi_split needs a FunctionalContext carrying a spectral decomposition"
         )
     ctx._check(x)
-    x_minus, x_plus = projectors(ctx.dec, x)
-    return (
-        0.5 * e_norm(ctx.dec, x_plus) ** 2,
-        0.5 * e_norm(ctx.dec, x_minus) ** 2,
-        Psi(ctx, x),
-    )
+    closest = np.abs(dec.eigenvalues).min()
+    if closest < GAP_EIGENVALUE_TOL:
+        raise SpectralGapError(
+            f"eigenvalue {closest:.3e} within {GAP_EIGENVALUE_TOL:.0e} of zero; "
+            "the sign splitting is ill-defined"
+        )
+    c = dec.eigenvectors.T @ x.flat
+    q = 0.5 * dec.eigenvalues * c * c
+    positive = dec.eigenvalues > 0.0
+    return float(q[positive].sum()), float(-q[~positive].sum()), Psi(ctx, x)
 
 
 def energy_defect(ctx: FunctionalContext, x: BlockVector) -> float:

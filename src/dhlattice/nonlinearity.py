@@ -34,7 +34,8 @@ given sampling plan.  The grid is fixed; only its random directions depend on
                            the growth envelope |grad R| <= eps|z| + C|z|^(p-1)
 
 The grid is evaluated with floating-point warnings off: a sample where R or
-grad R is not finite fails (R1) with that sample as its witness.
+grad R is not finite fails (R1) with that sample as its witness, and (R2),
+(R4) and the sampled part of (R3) are then inconclusive.
 """
 
 from __future__ import annotations
@@ -399,11 +400,12 @@ def check_hypotheses(
     """Falsify the hypotheses (R0)-(R4) on a structured sample grid.
 
     Failures are report entries carrying witnesses, never exceptions or
-    floating-point warnings: a non-finite sample fails (R1).  The
-    (R4) scan looks for a single delta that works uniformly over all sampled
-    nodes and amplitudes (the strong reading); the estimate is the largest
-    grid value for which every sample with |grad R| >= (lambda0 - delta)|z|
-    also has tilde R >= delta.
+    floating-point warnings: a non-finite sample fails (R1) and leaves the
+    grid-based parts of (R2)-(R4) inconclusive.  The (R4) scan looks for a
+    single delta that works uniformly over all sampled nodes and amplitudes
+    (the strong reading); the estimate is the largest grid value for which
+    every sample with |grad R| >= (lambda0 - delta)|z| also has
+    tilde R >= delta.
     """
     plan = plan or SamplingPlan.default()
     checks: dict[str, HypothesisCheck] = {}
@@ -450,9 +452,19 @@ def check_hypotheses(
             witness={"residual": worst_period},
         )
 
+    # (R2)-(R4) read the sample grid, which decides nothing once (R1) has
+    # found a non-finite sample on it; the (R3) gap test still decides.
+    grid_note = None
+    if nonfinite.size:
+        grid_note = "not decided, since (R1) found R or grad R not finite on the sample grid"
+
     # (R2): nonnegativity of R plus vanishing gradient ratio at the origin.
     min_r = float(r_vals.min())
-    if min_r < -NONNEGATIVITY_TOL:
+    if grid_note:
+        checks["R2"] = HypothesisCheck(
+            INCONCLUSIVE, "R >= 0 and |grad R|/|z| near 0: " + grid_note
+        )
+    elif min_r < -NONNEGATIVITY_TOL:
         checks["R2"] = HypothesisCheck(
             FAIL,
             f"R takes the negative value {min_r:.3e}",
@@ -478,9 +490,12 @@ def check_hypotheses(
             witness={"lambda_infinity": nl.lambda_infinity, "required_bound": gap_bound},
         )
     else:
-        asym_by_radius = asym_ratio.max(axis=(0, 2))
-        status, detail = _vanishing_status(asym_by_radius, radii, at_small=False)
         witness = None
+        if grid_note:
+            status, detail = INCONCLUSIVE, grid_note
+        else:
+            asym_by_radius = asym_ratio.max(axis=(0, 2))
+            status, detail = _vanishing_status(asym_by_radius, radii, at_small=False)
         if status == FAIL:
             witness = _worst_witness(
                 asym_ratio[:, -1:, :], radii[-1:], dirs_all[-1:], pick_min=False
@@ -497,7 +512,9 @@ def check_hypotheses(
     # difference of terms that can dwarf it at large amplitude.
     delta0 = None
     slack = tilde_vals + np.maximum(tilde_floor, NONNEGATIVITY_TOL)
-    if float(slack.min()) < 0.0:
+    if grid_note:
+        checks["R4"] = HypothesisCheck(INCONCLUSIVE, "tilde R >= 0: " + grid_note)
+    elif float(slack.min()) < 0.0:
         checks["R4"] = HypothesisCheck(
             FAIL,
             f"tilde R takes the negative value {float(tilde_vals.min()):.3e} "

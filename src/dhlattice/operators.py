@@ -172,15 +172,14 @@ class TruncatedOperator:
         """'dense' on periodic windows, 'banded' on zero-pad ones."""
         return "dense" if self.window.boundary is Boundary.PERIODIC else "banded"
 
-    def matvec(self, flat: np.ndarray) -> np.ndarray:
-        if self.bands is None:
-            return self.matrix @ flat
-        return banded_matvec(self.bands, flat)
-
     def apply(self, x: BlockVector) -> BlockVector:
         if x.window != self.window or x.block_dim != self.block_dim:
             raise DimensionMismatchError("vector does not match the operator's window")
-        return BlockVector.from_flat(self.window, self.block_dim, self.matvec(x.flat))
+        if self.bands is None:
+            flat = self.matrix @ x.flat
+        else:
+            flat = banded_matvec(self.bands, x.flat)
+        return BlockVector.from_flat(self.window, self.block_dim, flat)
 
     def to_dense(self) -> np.ndarray:
         if self.bands is None:
@@ -191,10 +190,6 @@ class TruncatedOperator:
             mat[idx + k, idx] = self.bands[k, : self.dim - k]
             mat[idx, idx + k] = self.bands[k, : self.dim - k]
         return mat
-
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full symmetric eigendecomposition, eigenvalues ascending."""
-        return scipy.linalg.eigh(self.to_dense())
 
 
 def assemble(window: Window, coeffs: PeriodicCoefficients) -> TruncatedOperator:

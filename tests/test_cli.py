@@ -146,6 +146,14 @@ class TestCheckCommand:
         r1 = report["checks"]["R1"]
         assert r1["status"] == "fail" and "not finite" in r1["detail"]
         assert sorted(r1["witness"]) == ["direction", "n", "radius"]
+        # the grid-based checks decide nothing on a non-finite grid; the (R3)
+        # gap test does not read the grid and still passes
+        for name in ("R2", "R3", "R4"):
+            check = report["checks"][name]
+            assert check["status"] == "inconclusive" and "(R1)" in check["detail"]
+            assert "witness" not in check
+        assert report["checks"]["R3"]["detail"].startswith("gap test passed")
+        assert report["delta0_estimate"] is None
 
     @pytest.mark.parametrize("command", ["check", "spectrum", "solve", "verify"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -39,6 +39,14 @@ class TestWindow:
         with pytest.raises(ConfigurationError):
             Window(-1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"half_width": 2.5}, {"half_width": 2, "num_nodes": 4.7}, {"half_width": True}],
+    )
+    def test_non_integer_sizes_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            Window(**kwargs)
+
     def test_window_must_contain_origin(self):
         with pytest.raises(ConfigurationError):
             Window(2, Boundary.ZERO_PAD, num_nodes=1)  # range [-2, -2]

@@ -8,6 +8,8 @@ from dhlattice import (
     Phi,
     Phi_split,
     Psi,
+    SpectralDecomposition,
+    SpectralGapError,
     Window,
     assemble,
     energy_defect,
@@ -33,6 +35,18 @@ def model_ctx(window=None):
     return FunctionalContext(
         assemble(window, model_coefficients()), family_radial_rational(4.0)
     )
+
+
+def free_model_ctx(num_nodes):
+    """Model operator on a periodic window, zero interaction, with its eigensystem."""
+    return FunctionalContext(
+        assemble(Window.periodic(num_nodes), model_coefficients()), family_quadratic(0.0)
+    ).with_decomposition()
+
+
+def first_positive(values):
+    """Index of the first positive entry of an ascending eigenvalue array."""
+    return int(np.searchsorted(values, 0.0, side="right"))
 
 
 def contexts_all():
@@ -153,22 +167,82 @@ class TestPhiSplit:
 
     def test_sign_structure_with_zero_interaction(self):
         rng = np.random.default_rng(44)
-        ctx = FunctionalContext(
-            assemble(Window.periodic(15), model_coefficients()), family_quadratic(0.0)
-        ).with_decomposition()
+        ctx = free_model_ctx(15)
         dec = ctx.dec
-        s = dec.split_index
+        lambda0 = ctx.op.coeffs.lambda0
+        s = first_positive(dec.eigenvalues)
         for _ in range(10):
             c_plus = rng.standard_normal(dec.eigenvalues.size - s)
             x_plus = BlockVector.from_flat(
                 ctx.window, 1, dec.eigenvectors[:, s:] @ c_plus
             )
-            assert Phi(ctx, x_plus) >= 0.5 * dec.lambda0 * lp_norm(x_plus, 2) ** 2 - 1e-10
+            assert Phi(ctx, x_plus) >= 0.5 * lambda0 * lp_norm(x_plus, 2) ** 2 - 1e-10
             c_minus = rng.standard_normal(s)
             x_minus = BlockVector.from_flat(
                 ctx.window, 1, dec.eigenvectors[:, :s] @ c_minus
             )
-            assert Phi(ctx, x_minus) <= -0.5 * dec.lambda0 * lp_norm(x_minus, 2) ** 2 + 1e-10
+            assert Phi(ctx, x_minus) <= -0.5 * lambda0 * lp_norm(x_minus, 2) ** 2 + 1e-10
+
+    def test_eigenvectors_split_cleanly(self):
+        ctx = free_model_ctx(33)
+        values = ctx.dec.eigenvalues
+        s = first_positive(values)
+        for idx in (0, s - 1, s, values.size - 1):
+            v = BlockVector.from_flat(ctx.window, 1, ctx.dec.eigenvectors[:, idx])
+            plus, minus, _ = Phi_split(ctx, v)
+            half = 0.5 * abs(values[idx])
+            expected = (half, 0.0) if values[idx] > 0 else (0.0, half)
+            assert (plus, minus) == pytest.approx(expected, abs=1e-12)
+
+    def test_halves_of_projected_vectors(self):
+        # x = x- + x+ along the negative and positive eigenvectors: each half
+        # of the split sees only its own part, and each part lies at least
+        # lambda0 away from zero in the quadratic form
+        rng = np.random.default_rng(20)
+        ctx = free_model_ctx(33)
+        dec = ctx.dec
+        lambda0 = ctx.op.coeffs.lambda0
+        s = first_positive(dec.eigenvalues)
+        vecs = dec.eigenvectors
+        for _ in range(10):
+            x = random_block_vector(ctx.window, 1, rng)
+            c = vecs.T @ x.flat
+            x_minus = BlockVector.from_flat(ctx.window, 1, vecs[:, :s] @ c[:s])
+            x_plus = BlockVector.from_flat(ctx.window, 1, vecs[:, s:] @ c[s:])
+            plus, minus, _ = Phi_split(ctx, x)
+            plus_p, minus_p, _ = Phi_split(ctx, x_plus)
+            plus_m, minus_m, _ = Phi_split(ctx, x_minus)
+            assert plus_p == pytest.approx(plus, abs=1e-10) and minus_p <= 1e-10
+            assert minus_m == pytest.approx(minus, abs=1e-10) and plus_m <= 1e-10
+            assert plus >= 0.5 * lambda0 * lp_norm(x_plus, 2) ** 2 - 1e-9
+            assert minus >= 0.5 * lambda0 * lp_norm(x_minus, 2) ** 2 - 1e-9
+
+    def test_norm_equivalence(self):
+        # (1/2) lambda0 |x|^2 <= (1/2) ||x||_E^2 <= (1/2) (2 + Lambda0) |x|^2
+        rng = np.random.default_rng(23)
+        coeffs = period2_coefficients()
+        ctx = FunctionalContext(
+            assemble(Window.periodic_cells(2, 16), coeffs), family_quadratic(0.0)
+        ).with_decomposition()
+        for _ in range(20):
+            x = random_block_vector(ctx.window, 1, rng)
+            plus, minus, _ = Phi_split(ctx, x)
+            sq = lp_norm(x, 2) ** 2
+            lo, hi = 0.5 * coeffs.lambda0 * sq, 0.5 * (2.0 + coeffs.Lambda0) * sq
+            assert lo - 1e-10 <= plus + minus <= hi + 1e-10
+
+    def test_near_zero_eigenvalue_raises(self):
+        ctx = free_model_ctx(5)
+        dec = ctx.dec
+        tweaked = np.array(dec.eigenvalues)
+        tweaked[first_positive(tweaked)] = 1e-12
+        bad = SpectralDecomposition(
+            window=dec.window, eigenvalues=tweaked, eigenvectors=dec.eigenvectors
+        )
+        bad_ctx = FunctionalContext(ctx.op, ctx.nl, dec=bad)
+        x = BlockVector.from_flat(dec.window, 1, dec.eigenvectors[:, 0])
+        with pytest.raises(SpectralGapError):
+            Phi_split(bad_ctx, x)
 
 
 class TestEnergyDefect:

@@ -278,6 +278,12 @@ class TestCheckHypotheses:
         report = check_hypotheses(nl, model_coefficients())
         r1 = report.checks["R1"]
         assert r1.status == "fail" and "not finite" in r1.detail
+        for name in ("R2", "R3", "R4"):
+            check = report.checks[name]
+            assert check.status == "inconclusive" and "(R1)" in check.detail
+            assert check.witness is None
+        assert report.checks["R3"].detail.startswith("gap test passed")
+        assert report.delta0_estimate is None
         n, radius = r1.witness["n"], r1.witness["radius"]
         direction = np.array(r1.witness["direction"])
         # the witness is the first sample, by radius, where R or grad R

@@ -11,6 +11,7 @@ from dhlattice import (
     apply_A,
     apply_S,
     assemble,
+    eigendecompose,
     floquet_symbol,
     l2_inner,
     lp_norm,
@@ -194,8 +195,10 @@ class TestBandedStorage:
         np.testing.assert_array_equal(op.to_dense(), reference)
         for _ in range(10):
             v = rng.standard_normal(op.dim)
-            np.testing.assert_allclose(op.matvec(v), reference @ v, atol=1e-10)
-        wb, vb = op.eigh()
+            applied = op.apply(BlockVector.from_flat(w, coeffs.block_dim, v)).flat
+            np.testing.assert_allclose(applied, reference @ v, atol=1e-10)
+        dec = eigendecompose(op)
+        wb, vb = dec.eigenvalues, dec.eigenvectors
         np.testing.assert_allclose(wb, np.linalg.eigvalsh(reference), atol=1e-9)
         np.testing.assert_allclose(
             np.linalg.norm(reference @ vb - vb * wb, axis=0), np.zeros(op.dim), atol=1e-9

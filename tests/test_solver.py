@@ -68,8 +68,8 @@ class TestInitialGuess:
     def test_linking_is_smallest_positive_eigenvector(self):
         ctx = model_ctx(8).with_decomposition()
         x = initial_guess("linking", ctx, 1.0)
-        dec = ctx.dec
-        lam = dec.eigenvalues[dec.split_index]
+        values = ctx.dec.eigenvalues
+        lam = values[np.searchsorted(values, 0.0, side="right")]
         applied = ctx.op.apply(x)
         np.testing.assert_allclose(applied.entries, lam * x.entries, atol=1e-10)
 

@@ -4,26 +4,18 @@ import numpy as np
 import pytest
 
 from dhlattice import (
-    BlockVector,
-    SpectralGapError,
     Window,
     assemble,
     band_structure,
-    e_norm,
     eigendecompose,
     floquet_symbol,
-    l2_inner,
-    lp_norm,
-    projectors,
 )
 from dhlattice import spectral
 from dhlattice.cli import builtin_config_path, load_config, main
-from dhlattice.spectral import SpectralDecomposition
 from helpers import (
     model_coefficients,
     n2_coefficients,
     period2_coefficients,
-    random_block_vector,
 )
 
 
@@ -74,116 +66,8 @@ class TestEigendecompose:
         assert (np.abs(ev) <= coeffs.Lambda0 + 2.0 + tol).all()
 
     def test_half_gap_certificate_periodic(self):
-        _, dec = model_periodic_decomposition()
-        assert (np.abs(dec.eigenvalues) >= dec.lambda0 / 2.0).all()
-
-    def test_split_index(self):
-        _, dec = model_periodic_decomposition()
-        assert (dec.eigenvalues[: dec.split_index] < 0).all()
-        assert (dec.eigenvalues[dec.split_index :] > 0).all()
-
-
-class TestProjectors:
-    def test_eigenvector_splits_cleanly(self):
         op, dec = model_periodic_decomposition()
-        idx = dec.split_index  # smallest positive eigenvalue
-        v = BlockVector.from_flat(dec.window, 1, dec.eigenvectors[:, idx])
-        minus, plus = projectors(dec, v)
-        assert lp_norm(minus, 2) <= 1e-10
-        np.testing.assert_allclose(plus.entries, v.entries, atol=1e-10)
-
-    def test_zero_vector(self):
-        _, dec = model_periodic_decomposition()
-        minus, plus = projectors(dec, BlockVector.zeros(dec.window, 1))
-        assert lp_norm(minus, 2) == 0.0 and lp_norm(plus, 2) == 0.0
-
-    def test_recomposition_idempotence_orthogonality(self):
-        rng = np.random.default_rng(20)
-        op, dec = model_periodic_decomposition()
-        for _ in range(10):
-            x = random_block_vector(dec.window, 1, rng)
-            minus, plus = projectors(dec, x)
-            np.testing.assert_allclose(
-                minus.entries + plus.entries, x.entries, atol=1e-10
-            )
-            assert abs(l2_inner(minus, plus)) <= 1e-10
-            m2, p2 = projectors(dec, plus)
-            assert lp_norm(m2, 2) <= 1e-10
-            np.testing.assert_allclose(p2.entries, plus.entries, atol=1e-10)
-
-    def test_quadratic_form_bounds(self):
-        rng = np.random.default_rng(21)
-        op, dec = model_periodic_decomposition()
-        for _ in range(20):
-            x = random_block_vector(dec.window, 1, rng)
-            minus, plus = projectors(dec, x)
-            qp = l2_inner(op.apply(plus), plus)
-            qm = l2_inner(op.apply(minus), minus)
-            assert qp >= dec.lambda0 * l2_inner(plus, plus) - 1e-9
-            assert qm <= -dec.lambda0 * l2_inner(minus, minus) + 1e-9
-
-    def test_parseval(self):
-        rng = np.random.default_rng(22)
-        _, dec = model_periodic_decomposition()
-        for _ in range(10):
-            x = random_block_vector(dec.window, 1, rng)
-            c = dec.coords(x)
-            assert np.sum(c * c) == pytest.approx(lp_norm(x, 2) ** 2, abs=1e-10)
-
-    def test_near_zero_eigenvalue_raises(self):
-        _, dec = model_periodic_decomposition(num_nodes=5)
-        tweaked = np.array(dec.eigenvalues)
-        tweaked[dec.split_index] = 1e-12
-        bad = SpectralDecomposition(
-            window=dec.window,
-            block_dim=dec.block_dim,
-            eigenvalues=tweaked,
-            eigenvectors=dec.eigenvectors,
-            split_index=dec.split_index,
-            lambda0=dec.lambda0,
-            Lambda0=dec.Lambda0,
-        )
-        x = BlockVector.from_flat(dec.window, 1, dec.eigenvectors[:, 0])
-        with pytest.raises(SpectralGapError):
-            projectors(bad, x)
-        with pytest.raises(SpectralGapError):
-            e_norm(bad, x)
-
-
-class TestENorm:
-    def test_eigenvector_value(self):
-        _, dec = model_periodic_decomposition()
-        for idx in (0, dec.split_index, len(dec.eigenvalues) - 1):
-            v = BlockVector.from_flat(dec.window, 1, dec.eigenvectors[:, idx])
-            assert e_norm(dec, v) == pytest.approx(
-                np.sqrt(abs(dec.eigenvalues[idx])), abs=1e-12
-            )
-
-    def test_zero(self):
-        _, dec = model_periodic_decomposition()
-        assert e_norm(dec, BlockVector.zeros(dec.window, 1)) == 0.0
-
-    def test_norm_equivalence_square_root_constants(self):
-        rng = np.random.default_rng(23)
-        coeffs = period2_coefficients()
-        dec = eigendecompose(assemble(Window.periodic_cells(2, 16), coeffs))
-        lo = np.sqrt(coeffs.lambda0)
-        hi = np.sqrt(2.0 + coeffs.Lambda0)
-        for _ in range(20):
-            x = random_block_vector(dec.window, 1, rng)
-            l2 = lp_norm(x, 2)
-            en = e_norm(dec, x)
-            assert lo * l2 - 1e-10 <= en <= hi * l2 + 1e-10
-
-    def test_orthogonal_additivity(self):
-        rng = np.random.default_rng(24)
-        _, dec = model_periodic_decomposition()
-        for _ in range(10):
-            x = random_block_vector(dec.window, 1, rng)
-            minus, plus = projectors(dec, x)
-            assert e_norm(dec, x) ** 2 == pytest.approx(
-                e_norm(dec, minus) ** 2 + e_norm(dec, plus) ** 2, abs=1e-9
-            )
+        assert (np.abs(dec.eigenvalues) >= op.coeffs.lambda0 / 2.0).all()
 
 
 class TestBandStructure:
