@@ -6,9 +6,12 @@ import numpy as np
 
 from dhlattice import (
     BlockVector,
+    FunctionalContext,
     PeriodicCoefficients,
     Window,
+    assemble,
     coupling_matrix,
+    family_quadratic,
 )
 
 MODEL_MATRICES = [[[0.0, -1.0], [-1.0, 0.0]]]
@@ -38,6 +41,18 @@ def period2_coefficients() -> PeriodicCoefficients:
 
 def n2_coefficients() -> PeriodicCoefficients:
     return PeriodicCoefficients(N2_MATRICES)
+
+
+def free_model_ctx(num_nodes: int) -> FunctionalContext:
+    """Model operator on a periodic window, zero interaction, with its eigensystem."""
+    return FunctionalContext(
+        assemble(Window.periodic(num_nodes), model_coefficients()), family_quadratic(0.0)
+    ).with_decomposition()
+
+
+def first_positive(values: np.ndarray) -> int:
+    """Index of the first positive entry of an ascending eigenvalue array."""
+    return int(np.searchsorted(values, 0.0, side="right"))
 
 
 def random_block_vector(

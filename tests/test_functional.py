@@ -23,6 +23,8 @@ from dhlattice import (
     shift,
 )
 from helpers import (
+    first_positive,
+    free_model_ctx,
     model_coefficients,
     n2_coefficients,
     period2_coefficients,
@@ -35,18 +37,6 @@ def model_ctx(window=None):
     return FunctionalContext(
         assemble(window, model_coefficients()), family_radial_rational(4.0)
     )
-
-
-def free_model_ctx(num_nodes):
-    """Model operator on a periodic window, zero interaction, with its eigensystem."""
-    return FunctionalContext(
-        assemble(Window.periodic(num_nodes), model_coefficients()), family_quadratic(0.0)
-    ).with_decomposition()
-
-
-def first_positive(values):
-    """Index of the first positive entry of an ascending eigenvalue array."""
-    return int(np.searchsorted(values, 0.0, side="right"))
 
 
 def contexts_all():
@@ -182,40 +172,6 @@ class TestPhiSplit:
                 ctx.window, 1, dec.eigenvectors[:, :s] @ c_minus
             )
             assert Phi(ctx, x_minus) <= -0.5 * lambda0 * lp_norm(x_minus, 2) ** 2 + 1e-10
-
-    def test_eigenvectors_split_cleanly(self):
-        ctx = free_model_ctx(33)
-        values = ctx.dec.eigenvalues
-        s = first_positive(values)
-        for idx in (0, s - 1, s, values.size - 1):
-            v = BlockVector.from_flat(ctx.window, 1, ctx.dec.eigenvectors[:, idx])
-            plus, minus, _ = Phi_split(ctx, v)
-            half = 0.5 * abs(values[idx])
-            expected = (half, 0.0) if values[idx] > 0 else (0.0, half)
-            assert (plus, minus) == pytest.approx(expected, abs=1e-12)
-
-    def test_halves_of_projected_vectors(self):
-        # x = x- + x+ along the negative and positive eigenvectors: each half
-        # of the split sees only its own part, and each part lies at least
-        # lambda0 away from zero in the quadratic form
-        rng = np.random.default_rng(20)
-        ctx = free_model_ctx(33)
-        dec = ctx.dec
-        lambda0 = ctx.op.coeffs.lambda0
-        s = first_positive(dec.eigenvalues)
-        vecs = dec.eigenvectors
-        for _ in range(10):
-            x = random_block_vector(ctx.window, 1, rng)
-            c = vecs.T @ x.flat
-            x_minus = BlockVector.from_flat(ctx.window, 1, vecs[:, :s] @ c[:s])
-            x_plus = BlockVector.from_flat(ctx.window, 1, vecs[:, s:] @ c[s:])
-            plus, minus, _ = Phi_split(ctx, x)
-            plus_p, minus_p, _ = Phi_split(ctx, x_plus)
-            plus_m, minus_m, _ = Phi_split(ctx, x_minus)
-            assert plus_p == pytest.approx(plus, abs=1e-10) and minus_p <= 1e-10
-            assert minus_m == pytest.approx(minus, abs=1e-10) and plus_m <= 1e-10
-            assert plus >= 0.5 * lambda0 * lp_norm(x_plus, 2) ** 2 - 1e-9
-            assert minus >= 0.5 * lambda0 * lp_norm(x_minus, 2) ** 2 - 1e-9
 
     def test_norm_equivalence(self):
         # (1/2) lambda0 |x|^2 <= (1/2) ||x||_E^2 <= (1/2) (2 + Lambda0) |x|^2

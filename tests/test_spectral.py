@@ -4,18 +4,25 @@ import numpy as np
 import pytest
 
 from dhlattice import (
+    BlockVector,
+    Phi_split,
     Window,
     assemble,
     band_structure,
     eigendecompose,
     floquet_symbol,
+    l2_inner,
+    lp_norm,
 )
 from dhlattice import spectral
 from dhlattice.cli import builtin_config_path, load_config, main
 from helpers import (
+    first_positive,
+    free_model_ctx,
     model_coefficients,
     n2_coefficients,
     period2_coefficients,
+    random_block_vector,
 )
 
 
@@ -23,6 +30,24 @@ def model_periodic_decomposition(num_nodes=33):
     coeffs = model_coefficients()
     op = assemble(Window.periodic(num_nodes), coeffs)
     return op, eigendecompose(op)
+
+
+def sign_parts(dec, x):
+    """(x-, x+): the parts of x along the negative and the positive eigenvectors."""
+    s = first_positive(dec.eigenvalues)
+    c = dec.eigenvectors.T @ x.flat
+    minus = dec.eigenvectors[:, :s] @ c[:s]
+    plus = dec.eigenvectors[:, s:] @ c[s:]
+    return (
+        BlockVector.from_flat(dec.window, x.block_dim, minus),
+        BlockVector.from_flat(dec.window, x.block_dim, plus),
+    )
+
+
+def e_norm_squared(ctx, x):
+    """||x||_E^2 = sum |lambda| c^2, twice the two quadratic terms of Phi_split."""
+    plus, minus, _ = Phi_split(ctx, x)
+    return 2.0 * (plus + minus)
 
 
 class TestEigendecompose:
@@ -68,6 +93,92 @@ class TestEigendecompose:
     def test_half_gap_certificate_periodic(self):
         op, dec = model_periodic_decomposition()
         assert (np.abs(dec.eigenvalues) >= op.coeffs.lambda0 / 2.0).all()
+
+
+class TestProjectors:
+    def test_eigenvector_splits_cleanly(self):
+        _, dec = model_periodic_decomposition()
+        s = first_positive(dec.eigenvalues)
+        for idx in (0, s - 1, s, dec.eigenvalues.size - 1):
+            v = BlockVector.from_flat(dec.window, 1, dec.eigenvectors[:, idx])
+            minus, plus = sign_parts(dec, v)
+            own, other = (plus, minus) if dec.eigenvalues[idx] > 0 else (minus, plus)
+            assert lp_norm(other, 2) <= 1e-10
+            np.testing.assert_allclose(own.entries, v.entries, atol=1e-10)
+
+    def test_zero_vector(self):
+        ctx = free_model_ctx(33)
+        minus, plus = sign_parts(ctx.dec, BlockVector.zeros(ctx.window, 1))
+        assert lp_norm(minus, 2) == 0.0 and lp_norm(plus, 2) == 0.0
+        assert Phi_split(ctx, BlockVector.zeros(ctx.window, 1)) == (0.0, 0.0, 0.0)
+
+    def test_recomposition_idempotence_orthogonality(self):
+        # each half of Phi_split sees only its own part of x = x- + x+
+        rng = np.random.default_rng(20)
+        ctx = free_model_ctx(33)
+        dec = ctx.dec
+        for _ in range(10):
+            x = random_block_vector(dec.window, 1, rng)
+            minus, plus = sign_parts(dec, x)
+            np.testing.assert_allclose(
+                minus.entries + plus.entries, x.entries, atol=1e-10
+            )
+            assert abs(l2_inner(minus, plus)) <= 1e-10
+            m2, p2 = sign_parts(dec, plus)
+            assert lp_norm(m2, 2) <= 1e-10
+            np.testing.assert_allclose(p2.entries, plus.entries, atol=1e-10)
+            split_plus, split_minus, _ = Phi_split(ctx, x)
+            plus_p, minus_p, _ = Phi_split(ctx, plus)
+            plus_m, minus_m, _ = Phi_split(ctx, minus)
+            assert plus_p == pytest.approx(split_plus, abs=1e-10) and minus_p <= 1e-10
+            assert minus_m == pytest.approx(split_minus, abs=1e-10) and plus_m <= 1e-10
+
+    def test_quadratic_form_bounds(self):
+        rng = np.random.default_rng(21)
+        ctx = free_model_ctx(33)
+        op, dec = ctx.op, ctx.dec
+        lambda0 = op.coeffs.lambda0
+        for _ in range(20):
+            x = random_block_vector(dec.window, 1, rng)
+            minus, plus = sign_parts(dec, x)
+            qp = l2_inner(op.apply(plus), plus)
+            qm = l2_inner(op.apply(minus), minus)
+            assert qp >= lambda0 * l2_inner(plus, plus) - 1e-9
+            assert qm <= -lambda0 * l2_inner(minus, minus) + 1e-9
+            split_plus, split_minus, _ = Phi_split(ctx, x)
+            assert split_plus == pytest.approx(0.5 * qp, abs=1e-9)
+            assert split_minus == pytest.approx(-0.5 * qm, abs=1e-9)
+
+
+class TestENorm:
+    def test_eigenvector_value(self):
+        # an eigenvector lands wholly on its own side of Phi_split with (1/2)|lambda|
+        ctx = free_model_ctx(33)
+        values = ctx.dec.eigenvalues
+        s = first_positive(values)
+        for idx in (0, s - 1, s, values.size - 1):
+            v = BlockVector.from_flat(ctx.window, 1, ctx.dec.eigenvectors[:, idx])
+            plus, minus, _ = Phi_split(ctx, v)
+            half = 0.5 * abs(values[idx])
+            expected = (half, 0.0) if values[idx] > 0 else (0.0, half)
+            assert (plus, minus) == pytest.approx(expected, abs=1e-12)
+            assert np.sqrt(e_norm_squared(ctx, v)) == pytest.approx(
+                np.sqrt(abs(values[idx])), abs=1e-12
+            )
+
+    def test_zero(self):
+        ctx = free_model_ctx(33)
+        assert e_norm_squared(ctx, BlockVector.zeros(ctx.window, 1)) == 0.0
+
+    def test_orthogonal_additivity(self):
+        rng = np.random.default_rng(24)
+        ctx = free_model_ctx(33)
+        for _ in range(10):
+            x = random_block_vector(ctx.window, 1, rng)
+            minus, plus = sign_parts(ctx.dec, x)
+            assert e_norm_squared(ctx, x) == pytest.approx(
+                e_norm_squared(ctx, minus) + e_norm_squared(ctx, plus), abs=1e-9
+            )
 
 
 class TestBandStructure:
