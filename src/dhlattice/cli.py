@@ -61,7 +61,7 @@ from .core import (
 from .functional import FunctionalContext
 from .nonlinearity import FAMILIES, Nonlinearity, SamplingPlan, check_hypotheses
 from .operators import assemble
-from .spectral import band_structure, symbol_eigenvalues
+from .spectral import band_structure, periodic_crosscheck
 from .solver import SolveOptions, StartStrategy, default_starts, multi_start, verify_candidate
 
 EXIT_OK = 0
@@ -356,17 +356,7 @@ def cmd_spectrum(config: ProblemConfig, args: argparse.Namespace) -> int:
     )
 
     cells = max(1, (2 * config.half_width(args.window) + 1) // coeffs.period)
-    window = Window.periodic_cells(coeffs.period, cells)
-    window_eigs = np.linalg.eigvalsh(assemble(window, coeffs).matrix)
-    thetas = 2.0 * np.pi * np.arange(cells) / cells
-    sym_union = np.sort(symbol_eigenvalues(thetas, coeffs), axis=None)
-    crosscheck = {
-        "num_nodes": window.num_nodes,
-        "momenta": cells,
-        "max_mismatch": float(np.abs(window_eigs - sym_union).max()),
-        "eigenvalue_min": float(window_eigs[0]),
-        "eigenvalue_max": float(window_eigs[-1]),
-    }
+    crosscheck = periodic_crosscheck(coeffs, cells)
 
     summary = {
         "lambda0": coeffs.lambda0,

@@ -40,6 +40,7 @@ grad R is not finite fails (R1) with that sample as its witness, and (R2),
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -325,6 +326,21 @@ def _vanishing_status(
     )
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, finite whenever the entries are.
+
+    Each row is scaled by 2^-e, with 2^e just above its largest absolute
+    entry, before the squares are summed, and the norm is scaled back.
+    Power-of-two scaling is exact, so rows whose squares stay in range get the
+    same bits as sqrt(v . v).
+    """
+    # a pairwise maximum over the components: numpy reduces a short last axis
+    # one row at a time, several times slower
+    _, e = np.frexp(functools.reduce(np.maximum, np.abs(np.moveaxis(v, -1, 0))))
+    scaled = np.ldexp(v, -e[..., None])
+    return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), e)
+
+
 def growth_envelope_constant(nl: Nonlinearity, plan: SamplingPlan) -> dict:
     """Fit the smallest C with |grad R(n,z)| <= eps |z| + C |z|^(p-1) on the plan grid,
     for p = ENVELOPE_P and eps = ENVELOPE_EPS."""
@@ -337,7 +353,7 @@ def growth_envelope_constant(nl: Nonlinearity, plan: SamplingPlan) -> dict:
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     nodes = np.arange(nl.period)[:, None, None]
     g = np.asarray(nl.gradient(nodes, radii[..., None] * dirs), dtype=float)
-    excess = np.sqrt(np.vecdot(g, g)) - ENVELOPE_EPS * radii
+    excess = _row_norms(g) - ENVELOPE_EPS * radii
     ratio = excess / np.float_power(radii, ENVELOPE_P - 1.0)
     worst = float(ratio[excess > 0.0].max(initial=0.0))
     return {"p": ENVELOPE_P, "eps": ENVELOPE_EPS, "constant": worst}
@@ -363,10 +379,10 @@ def _sample_grid(nl: Nonlinearity, plan: SamplingPlan):
     tilde_vals = np.asarray(eval_tildeR(nl, nodes, z), dtype=float)
     half_gz = 0.5 * np.vecdot(g, z)
     tilde_floor = eps_guard * (1.0 + np.abs(half_gz) + np.abs(r_vals))
-    grad_ratio = np.sqrt(np.vecdot(g, g)) / radii[:, None]
+    grad_ratio = _row_norms(g) / radii[:, None]
     s_inf = nl.s_infinity[:, None, None]
     asym = g - (s_inf @ z[..., None])[..., 0]
-    asym_ratio = np.sqrt(np.vecdot(asym, asym)) / radii[:, None]
+    asym_ratio = _row_norms(asym) / radii[:, None]
     finite = np.isfinite(r_vals) & np.isfinite(g).all(axis=-1)
     return radii, dirs_all, r_vals, tilde_vals, tilde_floor, grad_ratio, asym_ratio, finite
 

@@ -15,7 +15,11 @@ basis (x1 components then x2 components within a node).  Storage follows the
 boundary rule: a zero-pad matrix is block-tridiagonal with scalar bandwidth
 4N - 1 and is stored in LAPACK lower-banded form; a periodic matrix is dense,
 because the wrap-around couplings fill its corners.  Periodic windows serve
-spectral certification only; the orbit search runs on zero-pad windows.
+spectral certification only; the orbit search runs on zero-pad windows.  The
+periodic crosscheck of ``spectrum`` does not assemble its window: it reorders
+the ring's nodes as 0, K-1, 1, K-2, ..., which brings every coupling, the
+wrap-around one included, within a scalar bandwidth of 6N - 1, and takes the
+eigenvalues from that folded band storage.
 
 One builder makes every dense matrix: the nodes closed into a ring, with
 the wrap-around coupling weighted by a phase.  Phase 1 on the window's nodes
@@ -124,20 +128,64 @@ def _ring_matrix(coeffs: PeriodicCoefficients, nodes: np.ndarray, phase) -> np.n
     return mat
 
 
-def _assemble_banded(window: Window, coeffs: PeriodicCoefficients) -> np.ndarray:
-    """Lower-banded storage of a zero-pad window: bands[k, j] = M[j + k, j]."""
-    diags, c_low = _node_blocks(coeffs, window.nodes)
-    n2 = 2 * coeffs.block_dim
-    count = window.num_nodes
-    bands = np.zeros((2 * n2, count * n2))
+def _diagonal_bands(diags: np.ndarray, rows: int) -> np.ndarray:
+    """Lower-banded storage with ``rows`` bands holding only the diagonal blocks."""
+    count, n2 = diags.shape[:2]
+    bands = np.zeros((rows, count * n2))
     # entry (b, a) of node i's block sits in column i * n2 + a: one strided
     # slice per block entry covers every node
     for a in range(n2):
         for b in range(a, n2):
             bands[b - a, a::n2] = diags[:, b, a]
+    return bands
+
+
+def _assemble_banded(window: Window, coeffs: PeriodicCoefficients) -> np.ndarray:
+    """Lower-banded storage of a zero-pad window: bands[k, j] = M[j + k, j]."""
+    diags, c_low = _node_blocks(coeffs, window.nodes)
+    n2 = 2 * coeffs.block_dim
+    count = window.num_nodes
+    bands = _diagonal_bands(diags, 2 * n2)
     # M[rows(i+1), cols(i)] = c_low for i < count - 1: offset n2 + b - a
     for b, a in zip(*np.nonzero(c_low)):
         bands[n2 + b - a, a : (count - 1) * n2 : n2] = c_low[b, a]
+    return bands
+
+
+def _folded_ring_bands(coeffs: PeriodicCoefficients, count: int) -> np.ndarray:
+    """Lower-banded storage of the periodic ring on nodes 0..count-1, with the
+    nodes ordered 0, count-1, 1, count-2, 2, ...: bands[k, j] = P[j + k, j].
+
+    P is ``_ring_matrix(coeffs, arange(count), 1.0)`` under a symmetric
+    permutation, so it has the ring's eigenvalues.  Node i sits at position 2i
+    (ascending half) or 2(count-1-i)+1 (descending half), so every ring edge
+    joins positions at most two apart and the scalar half-bandwidth is at most
+    3 * 2N - 1.  The wrap-around edge count-1 -> 0 joins positions 1 and 0, and
+    the edge where the halves meet joins the last two positions.
+    """
+    order = np.empty(count, dtype=int)
+    order[0::2] = np.arange((count + 1) // 2)
+    order[1::2] = count - 1 - np.arange(count // 2)
+    diags, c_low = _node_blocks(coeffs, order)
+    n2 = 2 * coeffs.block_dim
+    if count == 1:
+        # both wrap-around blocks land on the one diagonal block
+        diags = diags + c_low + c_low.T
+    bands = _diagonal_bands(diags, 3 * n2)
+    # position p couples to p + 2 for p < count - 2: on even p the edge runs
+    # from node p/2 up to p/2 + 1, block (p + 2, p) = c_low; on odd p it runs
+    # from p + 2's node up to p's, so the block is c_low^T
+    stop = max(count - 2, 0) * n2
+    for start, blk in ((0, c_low), (n2, c_low.T)):
+        for b, a in zip(*np.nonzero(blk)):
+            bands[2 * n2 + b - a, start + a : stop : 2 * n2] = blk[b, a]
+    if count > 1:
+        # block (1, 0) holds the wrap-around edge; block (count-1, count-2)
+        # the middle edge, upward on even counts; on two nodes they coincide
+        middle = c_low if count % 2 == 0 else c_low.T
+        for p, blk in ((0, c_low.T), (count - 2, middle)):
+            for b, a in zip(*np.nonzero(blk)):
+                bands[n2 + b - a, p * n2 + a] += blk[b, a]
     return bands
 
 

@@ -14,7 +14,7 @@ from dhlattice import (
     family_radial_rational,
     growth_envelope_constant,
 )
-from dhlattice.nonlinearity import SAMPLE_RADII
+from dhlattice.nonlinearity import SAMPLE_RADII, _row_norms, _sample_grid
 from helpers import model_coefficients, period2_coefficients
 
 
@@ -294,6 +294,27 @@ class TestCheckHypotheses:
             at, below = radius * direction, SAMPLE_RADII[i - 1] * direction
             assert not np.isfinite([nl.value(n, at), *nl.gradient(n, at)]).all()
             assert np.isfinite([nl.value(n, below), *nl.gradient(n, below)]).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_gradients_keep_finite_norms(self):
+        # |grad R| reaches 1e168 on the grid: its square overflows, the entries do not
+        nl = family_radial_rational(1e160)
+        plan = SamplingPlan.default()
+        _, _, _, _, _, grad_ratio, asym_ratio, finite = _sample_grid(nl, plan)
+        assert finite.all()
+        assert np.isfinite(grad_ratio).all() and np.isfinite(asym_ratio).all()
+        assert grad_ratio.max() == pytest.approx(1e160, rel=1e-12)
+        report = check_hypotheses(nl, model_coefficients())
+        assert report.checks["R1"].status == "pass"
+        assert report.growth_envelope["constant"] == pytest.approx(2e160, rel=1e-12)
+
+    def test_row_norms_exact_scaling(self):
+        rng = np.random.default_rng(36)
+        rows = rng.standard_normal((50, 4)) * rng.choice([1e-100, 1.0, 1e100], (50, 1))
+        np.testing.assert_array_equal(_row_norms(rows), np.sqrt(np.vecdot(rows, rows)))
+        huge = 2.0**700
+        big = np.array([[3.0 * huge, 4.0 * huge], [0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]])
+        np.testing.assert_array_equal(_row_norms(big), [5.0 * huge, 0.0, np.inf, np.nan])
 
     def test_deterministic_under_fixed_seed(self):
         plan = SamplingPlan.default(seed=7)

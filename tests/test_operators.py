@@ -17,7 +17,7 @@ from dhlattice import (
     lp_norm,
 )
 from dhlattice.core import gap_bounds_from_matrices
-from dhlattice.operators import _assemble_banded, _node_blocks
+from dhlattice.operators import _assemble_banded, _folded_ring_bands, _node_blocks, _ring_matrix
 from helpers import (
     MODEL_MATRICES,
     model_coefficients,
@@ -247,6 +247,31 @@ def test_banded_assembly_equals_per_node_loop(block_dim, period, num_nodes):
     window = Window(half_width=num_nodes // 2, num_nodes=num_nodes)
     bands = _assemble_banded(window, coeffs)
     assert np.array_equal(bands, reference_bands(window, coeffs))
+
+
+def random_n2_t4_coefficients():
+    return random_coefficients(2, 4, np.random.default_rng(40))
+
+
+@pytest.mark.parametrize(
+    "coeffs_fn",
+    [model_coefficients, period2_coefficients, n2_coefficients, random_n2_t4_coefficients],
+)
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 9])
+def test_folded_ring_bands_equal_permuted_ring(coeffs_fn, count):
+    # on one and two nodes both wrap-around blocks land on one block
+    coeffs = coeffs_fn()
+    n2 = 2 * coeffs.block_dim
+    order = [i // 2 if i % 2 == 0 else count - 1 - i // 2 for i in range(count)]
+    perm = (np.array(order)[:, None] * n2 + np.arange(n2)).reshape(-1)
+    folded = _ring_matrix(coeffs, np.arange(count), 1.0)[perm][:, perm]
+    dim = folded.shape[0]
+    rows, cols = np.nonzero(folded)
+    assert np.abs(rows - cols).max() < 3 * n2
+    expected = np.zeros((3 * n2, dim))
+    for k in range(min(3 * n2, dim)):
+        expected[k, : dim - k] = np.diagonal(folded, -k)
+    assert np.array_equal(_folded_ring_bands(coeffs, count), expected)
 
 
 class TestFloquetSymbol:

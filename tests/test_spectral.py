@@ -2,13 +2,19 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dhlattice import (
     BlockVector,
+    PeriodicCoefficients,
     Phi_split,
     Window,
     assemble,
     band_structure,
+    coupling_matrix,
     eigendecompose,
     floquet_symbol,
     l2_inner,
@@ -230,6 +236,64 @@ def test_batched_symbol(name, tmp_path, capsys):
     cross = json.loads(capsys.readouterr().out)["periodic_crosscheck"]
     assert cross["num_nodes"] == coeffs.period and cross["momenta"] == 1
     assert cross["max_mismatch"] <= 1e-9
+
+
+def test_spectrum_runs_no_window_sized_dense_eigensolve(tmp_path, capsys, monkeypatch):
+    # Bloch symbols are 2NT wide; any wider dense eigensolve is the window's
+    symbol_size = 2
+
+    def guarded(solver):
+        def call(a, *args, **kwargs):
+            if np.shape(a)[-1] > symbol_size:
+                raise RuntimeError(f"dense eigensolve of a {np.shape(a)} matrix")
+            return solver(a, *args, **kwargs)
+
+        return call
+
+    for module, name in [
+        (np.linalg, "eigvalsh"), (np.linalg, "eigh"), (scipy.linalg, "eigh"),
+        (scipy.linalg, "eigvalsh"),
+    ]:
+        monkeypatch.setattr(module, name, guarded(getattr(module, name)))
+    config_path = builtin_config_path("model")
+    argv = ["spectrum", "--config", str(config_path), "--out", str(tmp_path), "--window", "64"]
+    assert main(argv) == 0
+    cross = json.loads(capsys.readouterr().out)["periodic_crosscheck"]
+    assert set(cross) == {
+        "num_nodes", "momenta", "max_mismatch", "eigenvalue_min", "eigenvalue_max",
+    }
+    assert cross["num_nodes"] == 129 and cross["max_mismatch"] <= 1e-9
+
+
+@st.composite
+def r0_coefficients(draw):
+    """S(n) = J0 [[P, Q], [Q, P]] with P - (N + 1/2) I positive semidefinite and
+    |Q_ij| <= 1, so |Q| <= N < lambda_min(P) and J0 S(n) is positive definite:
+    (R0) holds."""
+    n = draw(st.sampled_from([1, 2]))
+    period = draw(st.integers(1, 3))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    mats = []
+    for _ in range(period):
+        p = draw(arrays(float, (n, n), elements=entries))
+        p = p @ p.T + (n + 0.5) * np.eye(n)
+        q = draw(arrays(float, (n, n), elements=entries))
+        q = 0.5 * (q + q.T)
+        mats.append(coupling_matrix(n) @ np.block([[p, q], [q, p]]))
+    return PeriodicCoefficients(mats)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(coeffs=r0_coefficients(), cells=st.integers(1, 9))
+def test_periodic_window_eigenvalues_are_symbol_union(coeffs, cells):
+    cross = spectral.periodic_crosscheck(coeffs, cells)
+    thetas = 2.0 * np.pi * np.arange(cells) / cells
+    union = np.linalg.eigvalsh(floquet_symbol(thetas, coeffs))
+    tol = 1e-12 * (2.0 + coeffs.Lambda0)
+    assert (cross["num_nodes"], cross["momenta"]) == (cells * coeffs.period, cells)
+    assert cross["max_mismatch"] <= tol
+    assert abs(cross["eigenvalue_min"] - union.min()) <= tol
+    assert abs(cross["eigenvalue_max"] - union.max()) <= tol
 
 
 @pytest.mark.parametrize(
