@@ -30,6 +30,12 @@ coefficient matrices, skipping the validated BlockVector copies of apply_A
 and apply_S.  The arithmetic is theirs, operation for operation, so the rows
 equal apply_A(x) + apply_S(x) exactly; a banded matvec on the assembled
 operator would round differently and move the Newton iterates.
+
+``gradient_stack`` takes grad Phi at m points at once, an (m, K, 2N) stack:
+the Newton line search evaluates a batch of trial step lengths with one
+call.  Its rows go through the same einsum and nonlinearity kernels as one
+point's rows, so each point's gradient equals ``gradient_entries`` on that
+point bit for bit; ``gradient_entries`` is the stack of one point.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .operators import TruncatedOperator, _difference_rows
 from .spectral import SpectralDecomposition, eigendecompose
 
 GAP_EIGENVALUE_TOL = 1e-10
+STACK_CHUNK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,14 +103,40 @@ class FunctionalContext:
             raise DimensionMismatchError("vector does not match the context's window")
 
     def _linear_rows(self, z: np.ndarray) -> np.ndarray:
-        """Rows of (A+S)x on the raw (K, 2N) entries, equal to apply_A + apply_S."""
+        """Rows of (A+S)x on raw (..., K, 2N) entries, equal to apply_A + apply_S.
+
+        A stack of points goes through one einsum on its (m K, 2N) rows with
+        the node matrices tiled, the same kernel that one point's K rows go
+        through, so each row rounds exactly as it would alone.
+        """
+        count, n2 = z.shape[-2:]
+        reps = z.size // (count * n2)
+        mats = self._node_matrices if reps == 1 else np.tile(self._node_matrices, (reps, 1, 1))
         out = _difference_rows(z, self.op.block_dim, self.window.boundary)
-        out -= np.einsum("kij,kj->ki", self._node_matrices, z)
+        out -= np.einsum("kij,kj->ki", mats, z.reshape(-1, n2)).reshape(out.shape)
         return out
+
+    def gradient_stack(self, z: np.ndarray) -> np.ndarray:
+        """Rows of grad Phi at each point of a (m, K, 2N) stack of raw entries.
+
+        Each point's rows equal ``gradient_entries`` on that point bit for bit:
+        the stack makes one gradient call on its (m K, 2N) rows with the node
+        labels tiled.  Stacks larger than STACK_CHUNK_BYTES of tiled node
+        matrices are taken in chunks of points (at least one per chunk).
+        """
+        m, count, n2 = z.shape
+        chunk = max(1, STACK_CHUNK_BYTES // (8 * count * n2 * n2))
+        if m > chunk:
+            return np.concatenate(
+                [self.gradient_stack(z[start : start + chunk]) for start in range(0, m, chunk)]
+            )
+        nodes = self._nodes if m == 1 else np.tile(self._nodes, m)
+        grad_r = np.asarray(self.nl.gradient(nodes, z.reshape(-1, n2)), dtype=float)
+        return self._linear_rows(z) - grad_r.reshape(z.shape)
 
     def gradient_entries(self, x: BlockVector) -> np.ndarray:
         """Per-node rows of grad Phi(x), with one gradient call for the window."""
-        return self._linear_rows(x.entries) - self.nl.gradient(self._nodes, x.entries)
+        return self.gradient_stack(x.entries[None])[0]
 
 
 def Psi(ctx: FunctionalContext, x: BlockVector) -> float:

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     BlockVector,
@@ -46,25 +45,26 @@ from .core import (
 
 
 def _neighbor(entries: np.ndarray, step: int, boundary: Boundary) -> np.ndarray:
-    """Row i of the result holds row i + step of ``entries`` under the boundary rule."""
+    """Row i of the result holds row i + step of ``entries`` under the boundary
+    rule; rows run along the second-to-last axis, leading axes are a stack."""
     if boundary is Boundary.PERIODIC:
-        return np.roll(entries, -step, axis=0)
+        return np.roll(entries, -step, axis=-2)
     out = np.zeros_like(entries)
     if step == 1:
-        out[:-1] = entries[1:]
+        out[..., :-1, :] = entries[..., 1:, :]
     elif step == -1:
-        out[1:] = entries[:-1]
+        out[..., 1:, :] = entries[..., :-1, :]
     else:
         raise ValueError("only unit steps are needed")
     return out
 
 
 def _difference_rows(entries: np.ndarray, block_dim: int, boundary: Boundary) -> np.ndarray:
-    """Rows of A x on the raw (K, 2N) entries of x."""
-    x1, x2 = entries[:, :block_dim], entries[:, block_dim:]
+    """Rows of A x on the raw (..., K, 2N) entries of x, or of each x in a stack."""
+    x1, x2 = entries[..., :block_dim], entries[..., block_dim:]
     out = np.empty_like(entries)
-    out[:, :block_dim] = x2 - _neighbor(x2, -1, boundary)
-    out[:, block_dim:] = x1 - _neighbor(x1, +1, boundary)
+    out[..., :block_dim] = x2 - _neighbor(x2, -1, boundary)
+    out[..., block_dim:] = x1 - _neighbor(x1, +1, boundary)
     return out
 
 
@@ -191,6 +191,7 @@ def _folded_ring_bands(coeffs: PeriodicCoefficients, count: int) -> np.ndarray:
 
 def banded_matvec(bands: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Product of a symmetric lower-banded matrix with a vector."""
+    import scipy.linalg  # deferred: commands without LAPACK, like check, skip its import
     bw = bands.shape[0] - 1
     ab = np.ascontiguousarray(bands)
     return scipy.linalg.blas.dsbmv(bw, 1.0, ab, vec, lower=1)

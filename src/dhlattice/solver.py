@@ -12,6 +12,17 @@ step is one banded LU solve.  Armijo backtracking on the squared residual
 norm accepts only steps that reduce ||F||; when it finds none, or the LU gives
 no finite step, the one fallback is a rescue step of descent on (1/2)||F||^2.
 
+Both searches try step lengths t, t/2, t/4, ... (41 Armijo trials from t = 1,
+60 rescue trials from the Cauchy step) and take the first that passes.  The
+first trial is evaluated alone, since most steps take it; after a rejection
+the next trials go in batches of 2, 4, 8, ... points, each batch one stack
+gradient (``FunctionalContext.gradient_stack``), and are scanned in order.
+Halving is exact, and every trial point and its gradient round as they would
+one at a time, so the batched search accepts the same step.  The diagnostic
+``gradient_evaluations`` counts the starting point and the trials scanned up
+to the accepted one, not the batch's unscanned rest, so it is the count of a
+one-at-a-time search; the gradient rows computed exceed it by less than 2x.
+
 Near a nonzero local minimizer of (1/2)||F||^2 the Newton matrix is nearly
 singular and the line search only creeps, so a start can spend its whole
 iteration budget without converging.  A stagnation exit stops such a start:
@@ -28,6 +39,11 @@ first when the residual reached POLISH_FLOOR), and ``stagnated``,
 that did not.  Diagnostics also count ``gradient_evaluations``, rescue
 ``fallback_steps`` and ``regularizations``: Newton steps with no finite LU step.
 
+Duplicates are found up to shifts by whole periods.  Each pair of orbits is
+screened on one row per shift, the first orbit's largest; only shifts that
+pass get the full-window comparison, so a pair of localized orbits costs O(K)
+where comparing every shift on the whole window costs O(K^2).
+
 Zero is always a root, so converged points below a smallness threshold are
 rejected as trivial; accepted orbits are handed to the verification module
 (difference-equation residual, decay fit, energy identity, window doubling)
@@ -39,10 +55,14 @@ the quadratic part, along which the action rises first and eventually falls
 once the interaction takes over, so scaled copies of it bracket interesting
 amplitudes.  The ``linking`` start gets that vector from the operator's band
 storage without an eigenbasis: every eigenvalue from one banded eigenvalue
-call (O(K bw^2), no eigenvectors), one banded LU of H0 - lambda+ I, and a few
-inverse-iteration solves on it from a fixed vector.  The result is normalized
-with its largest-magnitude entry positive; when lambda+ is degenerate, any
-vector of its eigenspace serves.  Bump and random starts cover orbits the
+call (no eigenvectors), one banded LU of H0 - lambda+ I, and a few
+inverse-iteration solves on it from a fixed vector.  The eigenvalue call
+reduces the band to tridiagonal form and takes the eigenvalues with
+``dsterf``, in time quadratic in the window: on the model operator, one
+core, 27 ms at 1022 unknowns, 0.11 s at 2050 and 1.7 s at 8194, the largest
+cost of a 1025-node solve.  The result is normalized with its
+largest-magnitude entry positive; when lambda+ is degenerate, any vector of
+its eigenspace serves.  Bump and random starts cover orbits the
 delocalized eigenvector misses.
 """
 
@@ -53,7 +73,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     BlockVector,
@@ -71,7 +90,8 @@ from .verify import TRIVIAL_TOL, VerificationReport, verify_orbit
 POLISH_FLOOR = 1e-13
 STAGNATION_WINDOW = 30
 STAGNATION_RATIO = 0.9
-BACKTRACK_MIN = 2.0**-40
+BACKTRACK_TRIALS = 41  # t = 1, 1/2, ..., 2^-40
+RESCUE_TRIALS = 60
 BACKTRACK_SHRINK = 0.5
 ARMIJO = 1e-4
 LINKING_SOLVES = 4
@@ -236,6 +256,7 @@ def _linking_direction(bands: np.ndarray) -> np.ndarray:
     fixed start vector comes from a private generator, leaving the caller's
     random starts unchanged.
     """
+    import scipy.linalg  # deferred: commands without LAPACK, like check, skip its import
     eigenvalues = scipy.linalg.eigvals_banded(bands, lower=True)
     positive = eigenvalues[eigenvalues > 0]
     if not positive.size:
@@ -312,6 +333,7 @@ def _solve_linear(jac: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
 
     Returns None when ``dgbsv`` reports a singular factor or x is not finite.
     """
+    import scipy.linalg  # deferred: commands without LAPACK, like check, skip its import
     bw = jac.shape[0] - 1
     _, _, x, info = scipy.linalg.lapack.dgbsv(
         bw, bw, _general_band(jac), rhs, overwrite_ab=1
@@ -345,16 +367,39 @@ def newton_solve(
 
     gradient_evaluations = 0
 
-    def grad(entries: np.ndarray) -> np.ndarray:
+    def search(direction: np.ndarray, t: float, count: int, accept):
+        """The first of the ``count`` step lengths t, t/2, t/4, ... whose
+        trial x + t direction passes ``accept(t, ||g||^2)``, as (trial x,
+        trial gradient rows), or None.
+
+        Trials are taken in batches of 1, 2, 4, ... points, each one stack
+        gradient; only the trials scanned up to the accepted one count as
+        gradient evaluations, so the count is that of a one-at-a-time search.
+        """
         nonlocal gradient_evaluations
-        gradient_evaluations += 1
-        return ctx.gradient_entries(BlockVector(window, ctx.op.block_dim, entries))
+        steps = []
+        for _ in range(count):
+            steps.append(t)
+            t *= BACKTRACK_SHRINK
+        start, size = 0, 1
+        while start < count:
+            batch = steps[start : start + size]
+            trials = x + np.array(batch)[:, None, None] * direction
+            grads = ctx.gradient_stack(trials)
+            for i, step in enumerate(batch):
+                gradient_evaluations += 1
+                if accept(step, float(np.vdot(grads[i], grads[i]))):
+                    return trials[i], grads[i]
+            start += size
+            size *= 2
+        return None
 
     def inf_norm(rows: np.ndarray) -> float:
         return float(np.linalg.norm(rows, axis=1).max(initial=0.0))
 
     x = np.array(x0.entries)
-    g = grad(x)
+    g = ctx.gradient_stack(x[None])[0]
+    gradient_evaluations += 1
     g_inf = inf_norm(g)
     history = [g_inf]
     best = [g_inf]  # best[k]: smallest residual over the first k steps
@@ -373,20 +418,17 @@ def newton_solve(
         jac = _jacobian(ctx.op, _node_hessians(ctx, bv))
         delta = _solve_linear(jac, -g.reshape(-1))
         g_sq = float(np.vdot(g, g))
-        accepted = False
+        found = None
         if delta is None:
             regularizations += 1
         else:
-            delta_rows = delta.reshape(x.shape)
-            t = 1.0
-            while t >= BACKTRACK_MIN:
-                x_trial = x + t * delta_rows
-                g_trial = grad(x_trial)
-                if float(np.vdot(g_trial, g_trial)) <= (1.0 - 2.0 * ARMIJO * t) * g_sq:
-                    accepted = True
-                    break
-                t *= BACKTRACK_SHRINK
-        if not accepted:
+            found = search(
+                delta.reshape(x.shape),
+                1.0,
+                BACKTRACK_TRIALS,
+                lambda t, trial_sq: trial_sq <= (1.0 - 2.0 * ARMIJO * t) * g_sq,
+            )
+        if found is None:
             # rescue path: steepest descent on (1/2)||F||^2, gradient J^T F
             d = banded_matvec(jac, g.reshape(-1))
             jd = banded_matvec(jac, d)
@@ -394,18 +436,18 @@ def newton_solve(
             if not jd_sq > 0.0:  # also NaN from a non-finite Newton matrix
                 stop_reason = "line_search_failed"
                 break
-            t = float(np.vdot(d, d)) / jd_sq  # Cauchy step for the quadratic model
-            for _ in range(60):
-                x_trial = x - t * d.reshape(x.shape)
-                g_trial = grad(x_trial)
-                if float(np.vdot(g_trial, g_trial)) < g_sq:
-                    accepted = True
-                    fallback_steps += 1
-                    break
-                t *= BACKTRACK_SHRINK
-            if not accepted:
+            # Cauchy step for the quadratic model; x + t (-d) rounds as x - t d
+            found = search(
+                -d.reshape(x.shape),
+                float(np.vdot(d, d)) / jd_sq,
+                RESCUE_TRIALS,
+                lambda t, trial_sq: trial_sq < g_sq,
+            )
+            if found is None:
                 stop_reason = "line_search_failed"
                 break
+            fallback_steps += 1
+        x_trial, g_trial = found
         new_inf = inf_norm(g_trial)
         if converged:
             if new_inf >= 0.5 * g_inf:
@@ -469,15 +511,32 @@ def verify_candidate(
     )
 
 
-def _aligned_distance(a: BlockVector, b: BlockVector, period: int) -> float:
-    """Min over integer multiples of the period of the shifted l-inf distance."""
+def _same_orbit(a: BlockVector, b: BlockVector, period: int) -> bool:
+    """Whether some shift of b by a multiple of the period is within
+    DUPLICATE_TOL of a in the max row norm.
+
+    Every shift is first screened on one row, a's largest: that row's norm
+    is one term of the full max, computed the same way, so a shift whose
+    screen is not below the tolerance cannot pass.  Only the shifts left
+    get the full-window comparison, which takes O(K) per pair for localized
+    orbits instead of O(K^2).
+    """
     count = a.window.num_nodes
-    best = np.inf
-    for k in range(-(count // period), count // period + 1):
-        shifted = shift(b, k * period)
+    ks = np.arange(-(count // period), count // period + 1)
+    peak = int(np.argmax(np.linalg.norm(a.entries, axis=1)))
+    rows = peak + ks * period  # shift(b, k T) holds b's row peak + k T at row peak
+    if a.window.boundary is Boundary.PERIODIC:
+        peak_rows = b.entries[rows % count]
+    else:
+        inside = (rows >= 0) & (rows < count)
+        peak_rows = np.where(inside[:, None], b.entries[np.clip(rows, 0, count - 1)], 0.0)
+    screen = np.linalg.norm(a.entries[peak] - peak_rows, axis=1)
+    for k in ks[screen < DUPLICATE_TOL]:
+        shifted = shift(b, int(k) * period)
         diff = float(np.linalg.norm(a.entries - shifted.entries, axis=1).max(initial=0.0))
-        best = min(best, diff)
-    return best
+        if diff < DUPLICATE_TOL:
+            return True
+    return False
 
 
 def deduplicate_results(results: Sequence[SolveResult], period: int) -> list[SolveResult]:
@@ -487,7 +546,7 @@ def deduplicate_results(results: Sequence[SolveResult], period: int) -> list[Sol
     for res in ordered:
         dup_at = None
         for i, existing in enumerate(kept):
-            if _aligned_distance(existing.orbit, res.orbit, period) < DUPLICATE_TOL:
+            if _same_orbit(existing.orbit, res.orbit, period):
                 dup_at = i
                 break
         if dup_at is None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import NumericalError, PeriodicCoefficients, Window
 from .operators import TruncatedOperator, _folded_ring_bands, floquet_symbol
@@ -36,6 +35,7 @@ class SpectralDecomposition:
 
 def eigendecompose(op: TruncatedOperator) -> SpectralDecomposition:
     """Symmetric eigendecomposition of the truncated operator, ascending order."""
+    import scipy.linalg  # deferred: commands without LAPACK, like check, skip its import
     try:
         eigenvalues, eigenvectors = scipy.linalg.eigh(op.to_dense())
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -104,6 +104,7 @@ def periodic_crosscheck(coeffs: PeriodicCoefficients, cells: int) -> dict:
     assembled: one banded eigensolve of the folded ring takes O(K^2 N^3) time
     and O(K N^2) memory, where a dense one takes O(K^3 N^3) and O(K^2 N^2).
     """
+    import scipy.linalg  # deferred: commands without LAPACK, like check, skip its import
     count = cells * coeffs.period
     window_eigs = scipy.linalg.eigvals_banded(_folded_ring_bands(coeffs, count), lower=True)
     thetas = 2.0 * np.pi * np.arange(cells) / cells

@@ -8,6 +8,9 @@ single-node call on row i, and the window-level functions must equal a
 per-node reference loop written out below.
 """
 
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -160,6 +163,39 @@ def test_window_functions_equal_per_node_loops(case):
     assert np.array_equal(res, expected)
     assert res_inf == float(np.linalg.norm(expected, axis=1).max())
     assert np.array_equal(_node_hessians(ctx, x), reference_hessians(ctx, x))
+
+
+@st.composite
+def point_stacks(draw):
+    """(context, (m, K, 2N) stack) on either boundary, or the manufactured fixture."""
+    name = draw(st.sampled_from(sorted(NONLINEARITIES)))
+    bd = draw(st.sampled_from([1, 2]))
+    if name == "manufactured":
+        ctx = MANUFACTURED[bd].ctx
+    else:
+        coeffs = draw(st.sampled_from(COEFFICIENTS[bd]))
+        if draw(st.booleans()):
+            window = Window.zero_pad(draw(st.integers(0, 10)))
+        else:
+            window = Window.periodic_cells(coeffs.period, draw(st.integers(1, 6)))
+        ctx = FunctionalContext(assemble(window, coeffs), NONLINEARITIES[name](bd))
+    m = draw(st.integers(1, 6))
+    z = draw(arrays(float, (m, ctx.window.num_nodes, 2 * bd), elements=entries))
+    return ctx, z
+
+
+@seed(20141408)
+@BOUNDED
+@given(case=point_stacks(), chunked=st.booleans())
+def test_stack_gradient_equals_per_point_gradients(case, chunked):
+    ctx, z = case
+    # a one-byte chunk bound puts every point in its own chunk
+    with mock.patch("dhlattice.functional.STACK_CHUNK_BYTES", 1) if chunked else nullcontext():
+        stacked = ctx.gradient_stack(z)
+    assert stacked.shape == z.shape
+    for i, point in enumerate(z):
+        x = BlockVector(ctx.window, ctx.op.block_dim, point)
+        assert np.array_equal(stacked[i], ctx.gradient_entries(x)), i
 
 
 def test_banded_and_dense_jacobians_agree():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dhlattice
 from dhlattice.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -82,6 +87,26 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert report["all_pass"] is True
         assert report["delta0_estimate"] > 0
+
+    def test_check_leaves_scipy_linalg_unloaded(self):
+        # a fresh check runs no LAPACK, so it should not pay for importing it
+        script = (
+            "import contextlib, io, sys\n"
+            "from dhlattice.cli import builtin_config_path, main\n"
+            "assert 'scipy.linalg' not in sys.modules, 'import dhlattice.cli'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['check', '--config', str(builtin_config_path('model'))])\n"
+            "assert code == 0 and 'scipy.linalg' not in sys.modules, 'check'\n"
+        )
+        src = str(Path(dhlattice.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_gap_violation_exits_one_and_quotes_bound(self, capsys, tmp_path):
         raw = json.loads(builtin_config_path("model").read_text())

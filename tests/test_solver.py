@@ -26,8 +26,20 @@ from dhlattice import (
     newton_solve,
     shift,
 )
+from dhlattice import solver as solver_module
 from dhlattice.cli import builtin_config_path, load_config
-from dhlattice.solver import STAGNATION_RATIO, STAGNATION_WINDOW
+from dhlattice.operators import banded_matvec
+from dhlattice.solver import (
+    ARMIJO,
+    DUPLICATE_TOL,
+    POLISH_FLOOR,
+    STAGNATION_RATIO,
+    STAGNATION_WINDOW,
+    _jacobian,
+    _node_hessians,
+    _same_orbit,
+    _solve_linear,
+)
 from helpers import (
     model_coefficients,
     n2_coefficients,
@@ -316,19 +328,118 @@ class TestStopReason:
         assert np.isfinite(result.orbit.entries).all()
         np.testing.assert_array_equal(result.orbit.entries, x0.entries)
 
-    def test_gradient_evaluations_counted(self, monkeypatch):
-        ctx = model_ctx(32)
-        calls = []
-        original = FunctionalContext.gradient_entries
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(
+        block_dim=st.sampled_from([1, 2]),
+        period=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**16),
+        half_width=st.integers(3, 10),
+        nu=st.sampled_from([3.0, 6.0, 12.0]),
+        start=st.sampled_from(["gaussian", "random", "linking"]),
+        amplitude=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+    )
+    def test_gradient_evaluations_counted(
+        self, block_dim, period, seed, half_width, nu, start, amplitude
+    ):
+        # random coefficient sets satisfying (R0); the batched line search
+        # must take every step and count every evaluation as one trial at a time
+        rng = np.random.default_rng(seed)
+        ctx = FunctionalContext(
+            assemble(Window.zero_pad(half_width), random_coefficients(block_dim, period, rng)),
+            family_radial_rational(nu, block_dim=block_dim),
+        )
+        x0 = initial_guess(start, ctx, amplitude, width=2.0, rng=rng)
+        assert_matches_sequential(ctx, x0, SolveOptions(max_iter=60))
 
-        def counting(self, x):
-            calls.append(1)
-            return original(self, x)
 
-        monkeypatch.setattr(FunctionalContext, "gradient_entries", counting)
-        x0 = initial_guess("gaussian", ctx, 2.0, width=2.0)
-        result = newton_solve(ctx, x0, SolveOptions(), run_verification=False)
-        assert result.diagnostics["gradient_evaluations"] == len(calls) > result.iterations
+def sequential_newton(ctx, x0, opts):
+    """newton_solve's iteration with one gradient call per line-search trial.
+
+    Returns the final iterate and (gradient evaluations, rescue steps,
+    iterations, stop reason).
+    """
+    evaluations = 0
+
+    def grad(entries):
+        nonlocal evaluations
+        evaluations += 1
+        return ctx.gradient_entries(BlockVector(ctx.window, ctx.op.block_dim, entries))
+
+    def inf_norm(rows):
+        return float(np.linalg.norm(rows, axis=1).max(initial=0.0))
+
+    x = np.array(x0.entries)
+    g = grad(x)
+    g_inf = inf_norm(g)
+    best = [g_inf]
+    fallback_steps = polish = iterations = 0
+    converged = g_inf <= opts.grad_tol
+    stop_reason = "max_iter"
+    for iterations in range(1, opts.max_iter + 1):
+        if converged and (g_inf <= POLISH_FLOOR or polish >= 6):
+            iterations -= 1
+            break
+        bv = BlockVector(ctx.window, ctx.op.block_dim, x)
+        jac = _jacobian(ctx.op, _node_hessians(ctx, bv))
+        delta = _solve_linear(jac, -g.reshape(-1))
+        g_sq = float(np.vdot(g, g))
+        accepted = False
+        if delta is not None:
+            t = 1.0
+            while t >= 2.0**-40:
+                x_trial = x + t * delta.reshape(x.shape)
+                g_trial = grad(x_trial)
+                if float(np.vdot(g_trial, g_trial)) <= (1.0 - 2.0 * ARMIJO * t) * g_sq:
+                    accepted = True
+                    break
+                t *= 0.5
+        if not accepted:
+            d = banded_matvec(jac, g.reshape(-1))
+            jd = banded_matvec(jac, d)
+            jd_sq = float(np.vdot(jd, jd))
+            if not jd_sq > 0.0:
+                stop_reason = "line_search_failed"
+                break
+            t = float(np.vdot(d, d)) / jd_sq
+            for _ in range(60):
+                x_trial = x - t * d.reshape(x.shape)
+                g_trial = grad(x_trial)
+                if float(np.vdot(g_trial, g_trial)) < g_sq:
+                    accepted = True
+                    fallback_steps += 1
+                    break
+                t *= 0.5
+            if not accepted:
+                stop_reason = "line_search_failed"
+                break
+        new_inf = inf_norm(g_trial)
+        if converged:
+            if new_inf >= 0.5 * g_inf:
+                break
+            polish += 1
+        x, g, g_inf = x_trial, g_trial, new_inf
+        best.append(min(best[-1], g_inf))
+        if g_inf <= opts.grad_tol:
+            converged = True
+        elif (
+            iterations >= STAGNATION_WINDOW
+            and best[-1] > STAGNATION_RATIO * best[-1 - STAGNATION_WINDOW]
+        ):
+            stop_reason = "stagnated"
+            break
+    if converged:
+        stop_reason = "polish_floor" if g_inf <= POLISH_FLOOR else "converged"
+    return x, (evaluations, fallback_steps, iterations, stop_reason)
+
+
+def assert_matches_sequential(ctx, x0, opts):
+    result = newton_solve(ctx, x0, opts, run_verification=False)
+    x, counts = sequential_newton(ctx, x0, opts)
+    diag = result.diagnostics
+    assert np.array_equal(result.orbit.entries, x)
+    assert counts == (diag["gradient_evaluations"], diag["fallback_steps"],
+                      result.iterations, diag["stop_reason"])
+    return result
 
 
 # Every start of the shipped configs, run as `solve` runs them: (start,
@@ -380,6 +491,23 @@ def test_shipped_starts_are_pinned(name):
         got.append((result.start_used, result.status, iterations, diag["stop_reason"],
                     diag["fallback_steps"], diag["gradient_evaluations"]))
     assert got == SHIPPED_STARTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_STARTS))
+def test_shipped_starts_match_sequential(name):
+    # the batched line search takes the one-at-a-time search's steps and counts
+    config = load_config(str(builtin_config_path(name)))
+    ctx = FunctionalContext(
+        assemble(config.build_window(), config.build_coefficients()),
+        config.build_nonlinearity(),
+    )
+    opts = config.build_solve_options()
+    rng = np.random.default_rng(opts.seed)
+    rescued = 0
+    for strategy in opts.starts:
+        x0 = initial_guess(strategy, ctx, strategy.amplitude, rng=rng)
+        rescued += assert_matches_sequential(ctx, x0, opts).diagnostics["fallback_steps"]
+    assert rescued > 0
 
 
 class TestMultiStart:
@@ -439,6 +567,66 @@ class TestMultiStart:
         merged = deduplicate_results([result, far], period=1)
         assert len(merged) == 2
         assert merged[0].phi_value <= merged[1].phi_value
+
+
+def all_shifts_same_orbit(a, b, period):
+    """The reference decision: compare every period shift on the whole window."""
+    count = a.window.num_nodes
+    best = np.inf
+    for k in range(-(count // period), count // period + 1):
+        rows = np.linalg.norm(a.entries - shift(b, k * period).entries, axis=1)
+        best = min(best, float(rows.max(initial=0.0)))
+    return best < DUPLICATE_TOL
+
+
+class TestSameOrbit:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        block_dim=st.integers(1, 3),
+        period=st.integers(1, 3),
+        half_width=st.integers(0, 12),
+        periodic=st.booleans(),
+        seed=st.integers(0, 2**16),
+        scale=st.sampled_from([1.0, 1e-3, 1e-6, 1e-7]),
+        noise=st.sampled_from([0.0, 1e-8, 3e-7, 5e-7, 7e-7, 1e-6, 2e-6]),
+        offset=st.integers(-30, 30),
+    )
+    def test_matches_all_shifts(
+        self, block_dim, period, half_width, periodic, seed, scale, noise, offset
+    ):
+        # shifted copies of a localized orbit, perturbed around the tolerance
+        if periodic:
+            window = Window.periodic_cells(period, 2 * half_width // period + 1)
+        else:
+            window = Window.zero_pad(half_width)
+        rng = np.random.default_rng(seed)
+        n2 = 2 * block_dim
+        profile = scale * np.exp(-np.abs(window.nodes - rng.integers(-3, 4)) / 1.5)
+        a = BlockVector(window, block_dim, profile[:, None] * rng.standard_normal(n2))
+        perturb = noise * rng.uniform(-1.0, 1.0, (window.num_nodes, n2)) / np.sqrt(n2)
+        b = a.with_entries(shift(a, offset).entries + perturb)
+        assert _same_orbit(a, b, period) == all_shifts_same_orbit(a, b, period)
+        assert _same_orbit(b, a, period) == all_shifts_same_orbit(b, a, period)
+
+    def test_localized_pairs_compare_few_shifts(self, monkeypatch):
+        # on 1025 nodes a pair of bumps is screened on one row per shift; only
+        # shifts where the peak rows agree get the full-window comparison
+        window = Window.zero_pad(512)
+        calls = []
+
+        def counting(x, k):
+            calls.append(k)
+            return shift(x, k)
+
+        monkeypatch.setattr(solver_module, "shift", counting)
+        bump = BlockVector(window, 1, np.outer(np.exp(-((window.nodes / 2.0) ** 2)), [1.0, 0.5]))
+        moved = shift(bump, 37)
+        other = bump.with_entries(0.5 * bump.entries)
+        assert _same_orbit(bump, moved, 1)
+        assert len(calls) <= 3
+        calls.clear()
+        assert not _same_orbit(bump, other, 1)
+        assert len(calls) <= 3
 
 
 class TestSolveOptions:
