@@ -12,8 +12,11 @@ S at most Lambda0, so the sum is bounded by 2 + Lambda0.
 
 The truncated matrix of A + S is assembled in the node-major, block-minor
 basis (x1 components then x2 components within a node).  Storage follows the
-boundary rule: a zero-pad matrix is block-tridiagonal with scalar bandwidth
-4N - 1 and is stored in LAPACK lower-banded form; a periodic matrix is dense,
+boundary rule: a zero-pad matrix is block-tridiagonal, but its only coupling
+between neighbours, -I from node m's z1 rows to node m-1's x2 columns, sits
+at scalar offset exactly N, inside the diagonal blocks' reach of 2N - 1; so
+its scalar half-bandwidth is 2N - 1 (tridiagonal for N = 1), and it is
+stored in LAPACK lower-banded form with 2N rows.  A periodic matrix is dense,
 because the wrap-around couplings fill its corners.  Periodic windows serve
 spectral certification only; the orbit search runs on zero-pad windows.  The
 periodic crosscheck of ``spectrum`` does not assemble its window: it reorders
@@ -145,8 +148,9 @@ def _assemble_banded(window: Window, coeffs: PeriodicCoefficients) -> np.ndarray
     diags, c_low = _node_blocks(coeffs, window.nodes)
     n2 = 2 * coeffs.block_dim
     count = window.num_nodes
-    bands = _diagonal_bands(diags, 2 * n2)
-    # M[rows(i+1), cols(i)] = c_low for i < count - 1: offset n2 + b - a
+    bands = _diagonal_bands(diags, n2)
+    # M[rows(i+1), cols(i)] = c_low for i < count - 1: offset n2 + b - a,
+    # which is N for c_low's one nonzero block, so the n2 rows hold it
     for b, a in zip(*np.nonzero(c_low)):
         bands[n2 + b - a, a : (count - 1) * n2 : n2] = c_low[b, a]
     return bands
@@ -195,6 +199,47 @@ def banded_matvec(bands: np.ndarray, vec: np.ndarray) -> np.ndarray:
     bw = bands.shape[0] - 1
     ab = np.ascontiguousarray(bands)
     return scipy.linalg.blas.dsbmv(bw, 1.0, ab, vec, lower=1)
+
+
+def sturm_count(bands: np.ndarray, sigma: float = 0.0) -> int:
+    """Number of eigenvalues <= sigma of a symmetric lower-banded matrix M.
+
+    By Sylvester's law of inertia it is the number of negative pivots of
+    M - sigma I = L D L^T without pivoting.  One pass over the rows keeps the
+    bw + 1 columns the next pivot updates, so the count takes O(dim bw^2)
+    scalar operations: linear in the dimension at fixed bandwidth.  A pivot
+    of magnitude below pivmin is replaced by -pivmin, LAPACK ``dstebz``'s rule
+    (Demmel, Dhillon & Ren 1995): an eigenvalue equal to sigma counts, and a
+    zero diagonal, like the model operator's at sigma = 0, divides by no zero.
+    """
+    bw = bands.shape[0] - 1
+    dim = bands.shape[1]
+    cols = np.array(bands, dtype=float)
+    for k in range(1, bw + 1):
+        cols[k, max(dim - k, 0) :] = 0.0  # entries past the matrix's last row
+    cols[0] -= sigma
+    largest = float(np.abs(cols[1:]).max(initial=0.0))
+    pivmin = np.finfo(float).tiny * max(1.0, largest * largest)
+    # columns j..j+bw of the updated matrix, each its entries from the
+    # diagonal down: active[c][k] = M'[j + c + k, j + c]
+    columns = cols.T.tolist() + [[0.0] * (bw + 1) for _ in range(bw + 1)]
+    active = columns[: bw + 1]
+    count = 0
+    for j in range(dim):
+        col = active[0]
+        pivot = col[0]
+        if abs(pivot) < pivmin:
+            pivot = -pivmin
+        if pivot < 0.0:
+            count += 1
+        for c in range(1, bw + 1):
+            factor = col[c] / pivot
+            if factor:
+                target = active[c]
+                for k in range(bw + 1 - c):
+                    target[k] -= factor * col[c + k]
+        active = active[1:] + [columns[j + bw + 1]]
+    return count
 
 
 @dataclass(frozen=True, eq=False)

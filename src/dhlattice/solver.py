@@ -54,16 +54,17 @@ of the smallest positive eigenvalue lambda+ is the flattest ascent direction of
 the quadratic part, along which the action rises first and eventually falls
 once the interaction takes over, so scaled copies of it bracket interesting
 amplitudes.  The ``linking`` start gets that vector from the operator's band
-storage without an eigenbasis: every eigenvalue from one banded eigenvalue
-call (no eigenvectors), one banded LU of H0 - lambda+ I, and a few
-inverse-iteration solves on it from a fixed vector.  The eigenvalue call
-reduces the band to tridiagonal form and takes the eigenvalues with
-``dsterf``, in time quadratic in the window: on the model operator, one
-core, 27 ms at 1022 unknowns, 0.11 s at 2050 and 1.7 s at 8194, the largest
-cost of a 1025-node solve.  The result is normalized with its
-largest-magnitude entry positive; when lambda+ is degenerate, any vector of
-its eigenspace serves.  Bump and random starts cover orbits the
-delocalized eigenvector misses.
+storage without an eigenbasis: a Sturm count of the eigenvalues <= 0
+(``operators.sturm_count``), one selected eigenvalue call for the two
+eigenvalues either side of zero, one banded LU of H0 - lambda+ I, and a few
+inverse-iteration solves on it from a fixed vector.  For N = 1 the band is
+tridiagonal and every step is linear in the window: on the model operator,
+one core, 8.7 ms at 2050 unknowns and 37 ms at 8194, where taking every
+eigenvalue with ``dsterf`` took 99 ms and 1.6 s.  For N >= 2 the band's
+reduction to tridiagonal form inside the eigenvalue call stays quadratic.
+The result is normalized with its largest-magnitude entry positive; when
+lambda+ is degenerate, any vector of its eigenspace serves.  Bump and random
+starts cover orbits the delocalized eigenvector misses.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from .core import (
     shift,
 )
 from .functional import FunctionalContext, Phi
-from .operators import TruncatedOperator, assemble, banded_matvec
+from .operators import TruncatedOperator, assemble, banded_matvec, sturm_count
 from .verify import TRIVIAL_TOL, VerificationReport, verify_orbit
 
 POLISH_FLOOR = 1e-13
@@ -247,30 +248,53 @@ def initial_guess(
 def _linking_direction(bands: np.ndarray) -> np.ndarray:
     """Unit eigenvector of the smallest positive eigenvalue of a banded operator.
 
+    A Sturm count gives the number m of eigenvalues <= 0, and one selected
+    eigenvalue call returns eigenvalues m - 1 and m only (``dsbevx``: the band
+    reduced to tridiagonal form, then bisection on the two indices); lambda+ is
+    the upper one, and a pair that does not bracket zero raises NumericalError.
+    For N = 1 the band is tridiagonal, so the count, the selection and the
+    inverse iteration are all linear in the window; for N >= 2 the band
+    reduction stays quadratic.
+
     Inverse iteration with the computed eigenvalue as shift: its error is at
     roundoff, so each solve multiplies the wanted component by about
     gap / (eps ||H0||) against the others and one or two solves reach the
-    roundoff residual.  Diagonal entries of U below eps ||H0|| are raised to
-    that size (as LAPACK's tridiagonal inverse iteration does), so an
-    eigenvalue that is exact in floating point gives no zero division.  The
-    fixed start vector comes from a private generator, leaving the caller's
-    random starts unchanged.
+    roundoff residual.  ||H0|| is bounded by the largest absolute row sum.
+    Diagonal entries of U below eps times that bound are raised to that size
+    (as LAPACK's tridiagonal inverse iteration does), so an eigenvalue that is
+    exact in floating point gives no zero division.  The fixed start vector
+    comes from a private generator, leaving the caller's random starts
+    unchanged.
     """
     import scipy.linalg  # deferred: commands without LAPACK, like check, skip its import
-    eigenvalues = scipy.linalg.eigvals_banded(bands, lower=True)
-    positive = eigenvalues[eigenvalues > 0]
-    if not positive.size:
+    bw, dim = bands.shape[0] - 1, bands.shape[1]
+    m = sturm_count(bands)
+    if m == dim:
         raise NumericalError("operator has no positive eigenvalues")
-    lam = positive[0]
-    bw = bands.shape[0] - 1
-    floor = np.finfo(float).eps * max(-eigenvalues[0], eigenvalues[-1])
+    low = max(m - 1, 0)
+    pair = scipy.linalg.eig_banded(
+        bands, lower=True, select="i", select_range=(low, m), eigvals_only=True
+    )
+    lam = pair[-1]
+    if not (lam > 0 and (m == 0 or pair[0] <= 0)):
+        raise NumericalError(
+            f"eigenvalues {pair.tolist()} at indices {low}..{m} do not bracket "
+            f"zero, against a count of {m} nonpositive ones"
+        )
+    # the largest absolute row sum bounds ||H0||_2
+    row_sums = np.abs(bands[0])
+    for k in range(1, min(bw + 1, dim)):
+        off = np.abs(bands[k, : dim - k])
+        row_sums[: dim - k] += off
+        row_sums[k:] += off
+    floor = np.finfo(float).eps * row_sums.max()
     shifted = bands.copy()
     shifted[0] -= lam
     lu, piv, _ = scipy.linalg.lapack.dgbtrf(_general_band(shifted), bw, bw, overwrite_ab=1)
     diag = lu[2 * bw]  # the diagonal of U, a view into lu
     tiny = np.abs(diag) < floor
     diag[tiny] = np.copysign(floor, diag[tiny])
-    v = np.random.default_rng(0).standard_normal(bands.shape[1])
+    v = np.random.default_rng(0).standard_normal(dim)
     for _ in range(LINKING_SOLVES):
         v, _ = scipy.linalg.lapack.dgbtrs(lu, bw, bw, v, piv)
         v /= np.linalg.norm(v)

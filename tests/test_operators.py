@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dhlattice import (
     BlockVector,
@@ -7,6 +9,7 @@ from dhlattice import (
     ConfigurationError,
     DimensionMismatchError,
     PeriodicCoefficients,
+    TruncatedOperator,
     Window,
     apply_A,
     apply_S,
@@ -17,7 +20,13 @@ from dhlattice import (
     lp_norm,
 )
 from dhlattice.core import gap_bounds_from_matrices
-from dhlattice.operators import _assemble_banded, _folded_ring_bands, _node_blocks, _ring_matrix
+from dhlattice.operators import (
+    _assemble_banded,
+    _folded_ring_bands,
+    _node_blocks,
+    _ring_matrix,
+    sturm_count,
+)
 from helpers import (
     MODEL_MATRICES,
     model_coefficients,
@@ -225,7 +234,7 @@ def reference_bands(window, coeffs):
     """Lower-banded storage written one node and one block entry at a time."""
     diags, c_low = _node_blocks(coeffs, window.nodes)
     n2 = 2 * coeffs.block_dim
-    bands = np.zeros((2 * n2, window.num_nodes * n2))
+    bands = np.zeros((n2, window.num_nodes * n2))
     for i, blk in enumerate(diags):
         for a in range(n2):
             for b in range(a, n2):
@@ -247,6 +256,11 @@ def test_banded_assembly_equals_per_node_loop(block_dim, period, num_nodes):
     window = Window(half_width=num_nodes // 2, num_nodes=num_nodes)
     bands = _assemble_banded(window, coeffs)
     assert np.array_equal(bands, reference_bands(window, coeffs))
+    # the matrix has no entry beyond offset 2N - 1, so 2N rows drop nothing
+    dense = reference_matrix(window, coeffs)
+    rows, cols = np.nonzero(dense)
+    assert np.abs(rows - cols).max() <= 2 * block_dim - 1
+    assert np.array_equal(TruncatedOperator(window, coeffs, bands=bands).to_dense(), dense)
 
 
 def random_n2_t4_coefficients():
@@ -272,6 +286,51 @@ def test_folded_ring_bands_equal_permuted_ring(coeffs_fn, count):
     for k in range(min(3 * n2, dim)):
         expected[k, : dim - k] = np.diagonal(folded, -k)
     assert np.array_equal(_folded_ring_bands(coeffs, count), expected)
+
+
+def dense_count(op, sigma):
+    """Eigenvalues <= sigma of the operator, from a dense eigensolve."""
+    return int((np.linalg.eigvalsh(op.to_dense() - sigma * np.eye(op.dim)) <= 0).sum())
+
+
+class TestSturmCount:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        block_dim=st.sampled_from([1, 2]),
+        period=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        half_width=st.integers(0, 24),
+        fraction=st.floats(0.01, 0.99),
+    )
+    def test_equals_dense_count(self, block_dim, period, seed, half_width, fraction):
+        coeffs = random_coefficients(block_dim, period, np.random.default_rng(seed))
+        op = assemble(Window.zero_pad(half_width), coeffs)
+        values = np.linalg.eigvalsh(op.to_dense())
+        assert sturm_count(op.bands) == dense_count(op, 0.0)
+        # a shift inside the spectrum, clear of every eigenvalue at roundoff
+        sigma = values[0] + fraction * (values[-1] - values[0])
+        assume(np.abs(values - sigma).min() > 1e-9 * np.abs(values).max())
+        assert sturm_count(op.bands, sigma) == dense_count(op, sigma)
+
+    @pytest.mark.parametrize("half_width", [0, 1, 2, 7, 24])
+    def test_model_zero_diagonal(self, half_width):
+        # every pivot of the model operator at sigma = 0 starts at zero
+        op = assemble(Window.zero_pad(half_width), model_coefficients())
+        assert not op.bands[0].any()
+        assert sturm_count(op.bands) == dense_count(op, 0.0) == op.dim // 2
+
+    @pytest.mark.parametrize(
+        "coeffs,sigma",
+        [(model_coefficients(), 2.0), (model_coefficients(), -2.0),
+         (period2_coefficients(), 1.8), (period2_coefficients(), -2.2)],
+    )
+    def test_eigenvalue_exact_in_floating_point(self, coeffs, sigma):
+        # on one node M - sigma I is exactly singular: the zero pivot becomes
+        # -pivmin and the eigenvalue at sigma counts
+        op = assemble(Window.zero_pad(0), coeffs)
+        shifted = op.to_dense() - sigma * np.eye(2)
+        assert shifted[0, 0] * shifted[1, 1] == shifted[0, 1] * shifted[1, 0]
+        assert sturm_count(op.bands, sigma) == dense_count(op, sigma)
 
 
 class TestFloquetSymbol:

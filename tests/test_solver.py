@@ -10,6 +10,7 @@ from dhlattice import (
     BlockVector,
     ConfigurationError,
     FunctionalContext,
+    NumericalError,
     Phi,
     SolveOptions,
     StartStrategy,
@@ -28,7 +29,7 @@ from dhlattice import (
 )
 from dhlattice import solver as solver_module
 from dhlattice.cli import builtin_config_path, load_config
-from dhlattice.operators import banded_matvec
+from dhlattice.operators import banded_matvec, sturm_count
 from dhlattice.solver import (
     ARMIJO,
     DUPLICATE_TOL,
@@ -186,14 +187,51 @@ class TestLinkingStart:
         import dhlattice.spectral
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("dense eigensolve in the orbit search")
+            raise AssertionError("full-spectrum eigensolve in the orbit search")
 
-        monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
-        monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        monkeypatch.setattr(dhlattice.spectral, "eigendecompose", forbidden)
-        monkeypatch.setattr(dhlattice.functional, "eigendecompose", forbidden)
-        results = multi_start(model_ctx(), SolveOptions(starts=default_starts()))
+        # built first: the coefficients take the 2N x 2N eigenvalues of J0 S(n)
+        ctx = model_ctx()
+        for module, name in [(scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh"),
+                             (scipy.linalg, "eigvals_banded"), (np.linalg, "eigh"),
+                             (np.linalg, "eigvalsh"), (dhlattice.spectral, "eigendecompose"),
+                             (dhlattice.functional, "eigendecompose")]:
+            monkeypatch.setattr(module, name, forbidden)
+        assert lp_norm(initial_guess("linking", ctx, 1.0), 2) == pytest.approx(1.0)
+        results = multi_start(ctx, SolveOptions(starts=default_starts()))
         assert results and all(r.success for r in results)
+
+    def test_large_window_against_tridiagonal_eigenvector(self):
+        # 8194 unknowns, where a dense eigh is impractical: the model operator
+        # is tridiagonal with no zero eigenvalue, so lambda+ has index dim / 2
+        op = assemble(Window.zero_pad(2048), model_coefficients())
+        ctx = FunctionalContext(op, family_radial_rational(4.0))
+        v = initial_guess("linking", ctx, 1.0).flat
+        m = op.dim // 2
+        _, u = scipy.linalg.eigh_tridiagonal(
+            op.bands[0], op.bands[1, :-1], select="i", select_range=(m, m)
+        )
+        assert min(np.abs(v - u[:, 0]).max(), np.abs(v + u[:, 0]).max()) < 1e-10
+
+    def test_count_must_bracket_zero(self, monkeypatch):
+        negative = -np.ones((1, 4))
+        with pytest.raises(NumericalError, match="no positive eigenvalues"):
+            solver_module._linking_direction(negative)
+        bands = assemble(Window.zero_pad(4), model_coefficients()).bands
+        m = sturm_count(bands)
+        for wrong in (m - 1, m + 1):
+            monkeypatch.setattr(solver_module, "sturm_count", lambda b, wrong=wrong: wrong)
+            with pytest.raises(NumericalError, match="do not bracket zero"):
+                solver_module._linking_direction(bands)
+
+    @pytest.mark.parametrize("half_width", [255, 512])
+    def test_wide_linking_start_is_pinned(self, half_width):
+        # perfbench/configs/wide.json's coefficients at 511 and 1025 nodes
+        ctx = model_ctx(half_width)
+        x0 = initial_guess("linking", ctx, 1.0)
+        result = newton_solve(ctx, x0, SolveOptions(), start_tag="linking(a=1)")
+        diag = result.diagnostics
+        assert (result.status, result.iterations, diag["stop_reason"],
+                diag["gradient_evaluations"]) == ("trivial", 3, "polish_floor", 4)
 
 
 class TestNewtonSolve:
