@@ -35,7 +35,9 @@ given sampling plan.  The grid is fixed; only its random directions depend on
 
 The grid is evaluated with floating-point warnings off: a sample where R or
 grad R is not finite fails (R1) with that sample as its witness, and (R2),
-(R4) and the sampled part of (R3) are then inconclusive.
+(R4) and the sampled part of (R3) are then inconclusive.  The growth
+envelope is fitted on a grid of its own and reports no constant when grad R
+is not finite at one of its samples.
 """
 
 from __future__ import annotations
@@ -343,7 +345,8 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 def growth_envelope_constant(nl: Nonlinearity, plan: SamplingPlan) -> dict:
     """Fit the smallest C with |grad R(n,z)| <= eps |z| + C |z|^(p-1) on the plan grid,
-    for p = ENVELOPE_P and eps = ENVELOPE_EPS."""
+    for p = ENVELOPE_P and eps = ENVELOPE_EPS; C is None when grad R is not
+    finite at some sample, since no fit over the finite ones bounds it there."""
     rng = np.random.default_rng(plan.seed + 1)
     radii = SAMPLE_RADII[:, None]
     # drawn in (node, radius, direction) order
@@ -355,42 +358,50 @@ def growth_envelope_constant(nl: Nonlinearity, plan: SamplingPlan) -> dict:
     g = np.asarray(nl.gradient(nodes, radii[..., None] * dirs), dtype=float)
     excess = _row_norms(g) - ENVELOPE_EPS * radii
     ratio = excess / np.float_power(radii, ENVELOPE_P - 1.0)
-    worst = float(ratio[excess > 0.0].max(initial=0.0))
+    worst = float(ratio[excess > 0.0].max(initial=0.0)) if np.isfinite(g).all() else None
     return {"p": ENVELOPE_P, "eps": ENVELOPE_EPS, "constant": worst}
 
 
 def _sample_grid(nl: Nonlinearity, plan: SamplingPlan):
-    """Evaluate R, |grad R|/|z|, tilde R, and the S_inf remainder on the plan,
-    and whether R and grad R are finite at each sample.
+    """The plan's directions; R, tilde R and its noise floor, |grad R|/|z| and
+    the S_inf remainder on the grid [T, radii, directions]; whether R and
+    grad R are finite at each sample; and the worst (R1) periodicity residual.
 
-    tilde R is the difference of two terms that both grow like |z|^2, so its
-    floating-point value carries a cancellation error proportional to their
-    size; ``tilde_floor`` records that per-sample noise level so sign and
-    threshold tests do not misread roundoff as a violation.
+    R and grad R are evaluated once on the grid.  tilde R is the difference
+    of two terms that both grow like |z|^2, so its floating-point value
+    carries a cancellation error proportional to their size; ``tilde_floor``
+    records that per-sample noise level so sign and threshold tests do not
+    misread roundoff as a violation.  The periodicity residual compares the
+    grid's values on every 4th radius and 8th direction with one more call
+    each at the node labels shifted by one period.
     """
     rng = np.random.default_rng(plan.seed)
     radii = SAMPLE_RADII
     dirs_all = rng.standard_normal((len(radii), DIRECTIONS_PER_RADIUS, 2 * nl.block_dim))
     dirs_all /= np.linalg.norm(dirs_all, axis=2, keepdims=True)
     eps_guard = 64.0 * np.finfo(float).eps
-    nodes, z = _grid_points(nl, radii, dirs_all)
+    nodes = np.arange(nl.period)[:, None, None]
+    z = np.broadcast_to(radii[:, None, None] * dirs_all, (nl.period,) + dirs_all.shape)
     g = np.asarray(nl.gradient(nodes, z), dtype=float)
     r_vals = np.asarray(nl.value(nodes, z), dtype=float)
-    tilde_vals = np.asarray(eval_tildeR(nl, nodes, z), dtype=float)
     half_gz = 0.5 * np.vecdot(g, z)
+    tilde_vals = half_gz - r_vals
     tilde_floor = eps_guard * (1.0 + np.abs(half_gz) + np.abs(r_vals))
     grad_ratio = _row_norms(g) / radii[:, None]
     s_inf = nl.s_infinity[:, None, None]
     asym = g - (s_inf @ z[..., None])[..., 0]
     asym_ratio = _row_norms(asym) / radii[:, None]
     finite = np.isfinite(r_vals) & np.isfinite(g).all(axis=-1)
-    return radii, dirs_all, r_vals, tilde_vals, tilde_floor, grad_ratio, asym_ratio, finite
-
-
-def _grid_points(nl: Nonlinearity, radii: np.ndarray, dirs: np.ndarray):
-    """Node labels [T, 1, 1] and samples z[T, radii, dirs, 2N] = radius * direction."""
-    z = radii[:, None, None] * dirs
-    return np.arange(nl.period)[:, None, None], np.broadcast_to(z, (nl.period,) + z.shape)
+    thin = (slice(None), slice(None, None, 4), slice(None, None, 8))
+    v, g_thin = r_vals[thin], g[thin]
+    shifted = nodes + nl.period
+    v_shift = np.asarray(nl.value(shifted, z[thin]), dtype=float)
+    g_shift = np.asarray(nl.gradient(shifted, z[thin]), dtype=float)
+    dv = np.abs(v_shift - v) / np.maximum(1.0, np.abs(v))
+    dg = np.abs(g_shift - g_thin).max(axis=-1) / np.maximum(1.0, np.abs(g_thin).max(axis=-1))
+    # np.max propagates NaN, so a non-finite residual fails the check
+    worst_period = float(np.max(np.concatenate([dv.ravel(), dg.ravel()]), initial=0.0))
+    return dirs_all, r_vals, tilde_vals, tilde_floor, grad_ratio, asym_ratio, finite, worst_period
 
 
 def _sample_witness(index, radii: np.ndarray, dirs: np.ndarray) -> dict:
@@ -434,22 +445,14 @@ def check_hypotheses(
         f"lambda0 = {lam0:.6g}, Lambda0 = {lam1:.6g}",
     )
 
-    radii, dirs_all, r_vals, tilde_vals, tilde_floor, grad_ratio, asym_ratio, finite = (
+    radii = SAMPLE_RADII
+    dirs_all, r_vals, tilde_vals, tilde_floor, grad_ratio, asym_ratio, finite, worst_period = (
         _sample_grid(nl, plan)
     )
 
     # (R1): R and grad R finite on the grid, and periodicity in n on a
     # thinned subsample.
     nonfinite = np.argwhere(~finite)
-    nodes, z = _grid_points(nl, radii[::4], dirs_all[::4, ::8])
-    shifted = nodes + nl.period
-    v = np.asarray(nl.value(nodes, z), dtype=float)
-    dv = np.abs(np.asarray(nl.value(shifted, z), dtype=float) - v) / np.maximum(1.0, np.abs(v))
-    g = np.asarray(nl.gradient(nodes, z), dtype=float)
-    g_shift = np.asarray(nl.gradient(shifted, z), dtype=float)
-    dg = np.abs(g_shift - g).max(axis=-1) / np.maximum(1.0, np.abs(g).max(axis=-1))
-    # np.max propagates NaN, so a non-finite residual fails the check
-    worst_period = float(np.max(np.concatenate([dv.ravel(), dg.ravel()]), initial=0.0))
     if nonfinite.size:
         checks["R1"] = HypothesisCheck(
             FAIL,

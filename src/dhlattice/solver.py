@@ -59,8 +59,7 @@ storage without an eigenbasis: a Sturm count of the eigenvalues <= 0
 eigenvalues either side of zero, one banded LU of H0 - lambda+ I, and a few
 inverse-iteration solves on it from a fixed vector.  For N = 1 the band is
 tridiagonal and every step is linear in the window: on the model operator,
-one core, 8.7 ms at 2050 unknowns and 37 ms at 8194, where taking every
-eigenvalue with ``dsterf`` took 99 ms and 1.6 s.  For N >= 2 the band's
+one core, 8.7 ms at 2050 unknowns and 37 ms at 8194.  For N >= 2 the band's
 reduction to tridiagonal form inside the eigenvalue call stays quadratic.
 The result is normalized with its largest-magnitude entry positive; when
 lambda+ is degenerate, any vector of its eigenspace serves.  Bump and random
@@ -85,7 +84,7 @@ from .core import (
     shift,
 )
 from .functional import FunctionalContext, Phi
-from .operators import TruncatedOperator, assemble, banded_matvec, sturm_count
+from .operators import TruncatedOperator, _diagonal_bands, assemble, banded_matvec, sturm_count
 from .verify import TRIVIAL_TOL, VerificationReport, verify_orbit
 
 POLISH_FLOOR = 1e-13
@@ -304,10 +303,12 @@ def _linking_direction(bands: np.ndarray) -> np.ndarray:
 
 
 def _node_hessians(ctx: FunctionalContext, x: BlockVector) -> np.ndarray:
-    """Hessian blocks [K, 2N, 2N] of R along the window, from batched calls.
+    """Hessian blocks [K, 2N, 2N] of R along the window, from one batched call.
 
-    Without an analytic Hessian, central differences of the gradient cost 2N
-    batched gradient calls, one per coordinate direction.
+    Without an analytic Hessian, central differences of the gradient: the
+    2 * 2N points z + h e_j and z - h e_j go through one gradient call as a
+    (2 * 2N, K, 2N) stack.  h is added to component j alone, so the other
+    components keep their bits (a signed zero included).
     """
     nl = ctx.nl
     nodes = ctx.window.nodes
@@ -316,26 +317,19 @@ def _node_hessians(ctx: FunctionalContext, x: BlockVector) -> np.ndarray:
         return np.asarray(nl.hessian(nodes, z), dtype=float)
     n2 = 2 * x.block_dim
     h = 1e-6 * (1.0 + np.sqrt(np.vecdot(z, z)))
-    cols = np.empty((len(nodes), n2, n2))
+    zs = np.repeat(z[None], 2 * n2, axis=0)
     for j in range(n2):
-        zp = z.copy()
-        zm = z.copy()
-        zp[:, j] += h
-        zm[:, j] -= h
-        cols[:, :, j] = (
-            np.asarray(nl.gradient(nodes, zp), float) - np.asarray(nl.gradient(nodes, zm), float)
-        ) / (2.0 * h)[:, None]
+        zs[j, :, j] += h
+        zs[n2 + j, :, j] -= h
+    g = np.asarray(nl.gradient(nodes, zs), dtype=float)
+    # cols[:, :, j] is the difference quotient along e_j
+    cols = ((g[:n2] - g[n2:]) / (2.0 * h)[:, None]).transpose(1, 2, 0)
     return 0.5 * (cols + cols.transpose(0, 2, 1))
 
 
 def _jacobian(op: TruncatedOperator, hess_blocks: np.ndarray) -> np.ndarray:
     """Lower bands of H0 - HessR(x); the Hessian blocks sit on the block diagonal."""
-    n2 = 2 * op.block_dim
-    bands = op.bands.copy()
-    for a in range(n2):
-        for b in range(a, n2):
-            bands[b - a, a::n2] -= hess_blocks[:, b, a]
-    return bands
+    return op.bands - _diagonal_bands(hess_blocks, op.bands.shape[0])
 
 
 def _general_band(sym: np.ndarray) -> np.ndarray:
@@ -500,25 +494,18 @@ def newton_solve(
         "gradient_evaluations": gradient_evaluations,
         "stop_reason": stop_reason,
     }
-    phi_value = Phi(ctx, orbit)
-
+    report = None
     if not converged:
-        return SolveResult(
-            orbit, phi_value, g_inf, iterations, start_tag, "no_convergence", None, diagnostics
-        )
-    if lp_norm(orbit, np.inf) <= opts.trivial_tol:
-        return SolveResult(
-            orbit, phi_value, g_inf, iterations, start_tag, "trivial", None, diagnostics
-        )
-    if not run_verification:
-        return SolveResult(
-            orbit, phi_value, g_inf, iterations, start_tag, "converged", None, diagnostics
-        )
-
-    report = verify_candidate(ctx, orbit, opts)
-    status = "verified" if report.passed else "unverified"
+        status = "no_convergence"
+    elif lp_norm(orbit, np.inf) <= opts.trivial_tol:
+        status = "trivial"
+    elif not run_verification:
+        status = "converged"
+    else:
+        report = verify_candidate(ctx, orbit, opts)
+        status = "verified" if report.passed else "unverified"
     return SolveResult(
-        orbit, phi_value, g_inf, iterations, start_tag, status, report, diagnostics
+        orbit, Phi(ctx, orbit), g_inf, iterations, start_tag, status, report, diagnostics
     )
 
 

@@ -8,6 +8,7 @@ single-node call on row i, and the window-level functions must equal a
 per-node reference loop written out below.
 """
 
+import dataclasses
 from contextlib import nullcontext
 from unittest import mock
 
@@ -23,11 +24,13 @@ from dhlattice import (
     FunctionalContext,
     Phi,
     Psi,
+    SamplingPlan,
     TruncatedOperator,
     Window,
     apply_A,
     apply_S,
     assemble,
+    check_hypotheses,
     eval_tildeR,
     family_log_saturating,
     family_quadratic,
@@ -210,3 +213,59 @@ def test_banded_and_dense_jacobians_agree():
     expected = op.to_dense() - scipy.linalg.block_diag(*blocks)
     banded = _jacobian(op, blocks)
     assert np.array_equal(TruncatedOperator(window, coeffs, bands=banded).to_dense(), expected)
+
+
+def counted(nl):
+    """``nl`` with value and gradient wrapped to record each call's label shape.
+
+    The records start after the wrapped nonlinearity's own construction, whose
+    origin checks call both once.
+    """
+    calls = {"value": [], "gradient": []}
+
+    def wrap(name):
+        fn = getattr(nl, name)
+
+        def call(n, z):
+            calls[name].append(np.shape(n))
+            return fn(n, z)
+
+        return call
+
+    wrapped = dataclasses.replace(nl, value=wrap("value"), gradient=wrap("gradient"))
+    for records in calls.values():
+        records.clear()
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("bd", [1, 2])
+def test_checker_evaluates_the_grid_once(bd):
+    # the sample grid once, then the periodicity subsample at shifted labels
+    nl, calls = counted(family_radial_rational(4.0, block_dim=bd))
+    check_hypotheses(nl, COEFFICIENTS[bd][0], SamplingPlan.default())
+    assert (len(calls["value"]), len(calls["gradient"])) == (2, 3)
+
+
+@pytest.mark.parametrize("bd", [1, 2])
+def test_difference_hessian_is_one_gradient_call(bd):
+    problem = MANUFACTURED[bd]
+    assert problem.nl.hessian is None
+    nl, calls = counted(problem.nl)
+    ctx = FunctionalContext(problem.ctx.op, nl)
+    _node_hessians(ctx, problem.orbit)
+    assert calls == {"value": [], "gradient": [(ctx.window.num_nodes,)]}
+
+
+def test_stack_gradient_is_one_call_per_chunk():
+    window = Window.zero_pad(5)
+    nl, calls = counted(family_radial_rational(4.0, block_dim=2))
+    ctx = FunctionalContext(assemble(window, n2_coefficients()), nl)
+    z = np.random.default_rng(3).standard_normal((5, window.num_nodes, 4))
+    ctx.gradient_stack(z)
+    assert calls["gradient"] == [(window.num_nodes,)]
+    # a bound of two points' tiled node matrices: chunks of 2, 2 and 1 points
+    calls["gradient"].clear()
+    two_points = 2 * 8 * window.num_nodes * 4 * 4
+    with mock.patch("dhlattice.functional.STACK_CHUNK_BYTES", two_points):
+        ctx.gradient_stack(z)
+    assert calls["gradient"] == [(window.num_nodes,)] * 3

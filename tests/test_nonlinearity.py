@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -14,8 +15,25 @@ from dhlattice import (
     family_radial_rational,
     growth_envelope_constant,
 )
+from dhlattice.cli import builtin_config_path, load_config
 from dhlattice.nonlinearity import SAMPLE_RADII, _row_norms, _sample_grid
 from helpers import model_coefficients, period2_coefficients
+
+
+# delta0 estimate (repr), the (R0) eigenvalue bounds, the (R3) gap test and
+# the (R3) ratio at infinity of each shipped config's check report at seed 0
+SHIPPED_REPORTS = {
+    "model": ("0.040922403680301186", "lambda0 = 1, Lambda0 = 1", "4 > 3", "1.490e-15"),
+    "period2": (
+        "0.03950707780039562", "lambda0 = 0.8, Lambda0 = 1.2", "4 > 3.2", "1.490e-15"
+    ),
+    "n2": (
+        "0.04339746592491284",
+        "lambda0 = 0.878779, Lambda0 = 1.37122",
+        "4 > 3.37122",
+        "1.468e-15",
+    ),
+}
 
 
 def fd_gradient(nl, n, z, h):
@@ -300,7 +318,7 @@ class TestCheckHypotheses:
         # |grad R| reaches 1e168 on the grid: its square overflows, the entries do not
         nl = family_radial_rational(1e160)
         plan = SamplingPlan.default()
-        _, _, _, _, _, grad_ratio, asym_ratio, finite = _sample_grid(nl, plan)
+        _, _, _, _, grad_ratio, asym_ratio, finite, _ = _sample_grid(nl, plan)
         assert finite.all()
         assert np.isfinite(grad_ratio).all() and np.isfinite(asym_ratio).all()
         assert grad_ratio.max() == pytest.approx(1e160, rel=1e-12)
@@ -330,6 +348,33 @@ class TestCheckHypotheses:
         report = check_hypotheses(family_quadratic(4.0), model_coefficients())
         assert report.checks["R2"].witness is not None
 
+    @pytest.mark.parametrize("name", sorted(SHIPPED_REPORTS))
+    def test_shipped_reports_are_pinned(self, name):
+        # every figure of the check report on the shipped configs at seed 0,
+        # so a change to the sample grid that drifts the report shows here
+        delta0, lam, gap, at_infinity = SHIPPED_REPORTS[name]
+        config = load_config(str(builtin_config_path(name)))
+        report = check_hypotheses(
+            config.build_nonlinearity(), config.build_coefficients(), SamplingPlan.default(0)
+        )
+        assert repr(report.delta0_estimate) == delta0
+        assert report.growth_envelope == {"p": 4.0, "eps": 0.1, "constant": 5.739063213174844}
+        assert {k: (v.status, v.detail) for k, v in report.checks.items()} == {
+            "R0": ("pass", f"J0*S(n) symmetric positive definite for all n; {lam}"),
+            "R1": ("pass", "periodicity residual 0.000e+00 within 1e-12"),
+            "R2": ("pass", "|grad R|/|z| near 0: limit ratio 8.000e-16 below 1e-06"),
+            "R3": (
+                "pass",
+                f"gap test passed ({gap}); |grad R - S_inf z|/|z| at infinity: "
+                f"limit ratio {at_infinity} below 1e-06",
+            ),
+            "R4": (
+                "pass",
+                f"tilde R >= 0 on all samples; uniform delta0 estimate {float(delta0):.6g} "
+                f"(scan over (0, lambda0) with {lam.split(',')[0]})",
+            ),
+        }
+
 
 class TestGrowthEnvelope:
     def test_fitted_constant_verifies(self):
@@ -347,3 +392,22 @@ class TestGrowthEnvelope:
             lhs = np.linalg.norm(nl.gradient(0, z))
             rhs = 0.1 * np.linalg.norm(z) + c * np.linalg.norm(z) ** 3
             assert lhs <= 1.1 * rhs + 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_sample_leaves_no_constant(self):
+        # a gradient that is NaN beyond |z|^2 = 1e10: the fit over the finite
+        # samples alone would bound nothing there, so no constant is reported
+        base = family_radial_rational(4.0)
+
+        def gradient(n, z):
+            z = np.asarray(z, dtype=float)
+            g = np.asarray(base.gradient(n, z), dtype=float)
+            return np.where((np.vecdot(z, z) > 1e10)[..., None], np.nan, g)
+
+        nl = dataclasses.replace(base, gradient=gradient)
+        report = check_hypotheses(nl, model_coefficients())
+        r1 = report.checks["R1"]
+        assert r1.status == "fail"
+        assert r1.detail.startswith("R or grad R is not finite at 384 of 2048 samples")
+        assert report.growth_envelope["constant"] is None
+        assert growth_envelope_constant(nl, SamplingPlan.default())["constant"] is None
