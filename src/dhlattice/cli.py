@@ -1,21 +1,23 @@
 """Command-line surface: JSON problem configs in, JSON reports and CSV files out.
 
-Subcommands
------------
-check     run the hypothesis checker on a config
-spectrum  write the Bloch band CSV and a spectral summary (alias: bands)
-solve     run the multi-start orbit search, write orbit CSVs and metadata
-verify    re-check an orbit CSV against a config
+Subcommands, each with the only arguments it accepts
+----------------------------------------------------
+check     --config [--seed]: run the hypothesis checker on a config
+spectrum  --config [--out --window --grid]: write the Bloch band CSV and a summary
+solve     --config [--out --seed --window --skip-check]: multi-start orbit search
+verify    --config [--window] ORBIT: re-check an orbit CSV against a config
 
 Every command prints one JSON object to stdout, with any NaN or infinity
 written as null so strict parsers accept it; CSV files go to --out.  Exit
 codes: 0 success, 1 check or verification failure, 2 malformed input, 3 no
 orbit found.
 
-Each config field, flag and orbit-file value is checked where it is parsed: a
-bad one raises ``ConfigurationError``, which ``main`` reports as ``{"error":
-...}`` with exit 2.  Integer fields take JSON integers only, orbit files finite
-numbers only.  Coefficients that fail the hypothesis (R0) exit 1.
+``load_config`` builds a config's window, nonlinearity and solve options, so
+all commands give a config the same verdict.  A bad field, flag or
+orbit-file value raises ``ConfigurationError``, which ``main`` reports as
+``{"error": ...}`` with exit 2.  Integer fields take JSON integers only, orbit
+files finite numbers under the header ``n,x1_1..x1_N,x2_1..x2_N`` only.
+Coefficients that fail the hypothesis (R0) exit 1.
 
 The configuration is a JSON object with explicit dimensions; matrices are
 row-major.  A minimal example:
@@ -29,11 +31,11 @@ row-major.  A minimal example:
       "solver": {"seed": 0}
     }
 
-``matrices`` lists the coefficient matrices S(n) of the Hamiltonian density
-(1/2) S(n) z . z + R(n, z); the assembled operator applies their negation, so
-check the sign convention of externally sourced data.  Reports contain no
-timestamps or absolute paths: with a fixed seed, repeated runs are
-byte-identical.
+``window.boundary`` must be ``zero_pad``.  ``matrices`` lists the coefficient
+matrices S(n) of the Hamiltonian density (1/2) S(n) z . z + R(n, z); the
+assembled operator applies their negation, so check the sign convention of
+externally sourced data.  Reports contain no timestamps or absolute paths: with
+a fixed seed, repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -83,6 +86,8 @@ def builtin_config_path(name: str) -> Path:
 
 _DEFAULT_NONLINEARITY = {"family": "radial_rational", "nu": 4.0}
 _DEFAULT_WINDOW = {"half_width": 64, "boundary": "zero_pad"}
+_WINDOW_FIELDS = {"half_width", "num_nodes", "boundary"}
+_SOLVER_FIELDS = {"max_iter", "grad_tol", "trivial_tol", "seed", "starts"}
 
 
 def _section(name: str, value, default: dict) -> dict:
@@ -92,8 +97,51 @@ def _section(name: str, value, default: dict) -> dict:
     return dict(value) if value else dict(default)
 
 
+def _nonlinearity(block_dim: int, params: dict) -> Nonlinearity:
+    """The nonlinearity that a ``nonlinearity`` section names (consumes ``params``)."""
+    family = params.pop("family", None)
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ConfigurationError(
+            f"nonlinearity.family must be one of {sorted(FAMILIES)}, got {family!r}"
+        )
+    try:
+        return FAMILIES[family](block_dim=block_dim, **params)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"nonlinearity parameters invalid: {exc}") from exc
+
+
+def _solve_options(raw: dict) -> SolveOptions:
+    """The solve options that a ``solver`` section sets (consumes ``raw``)."""
+    unknown = set(raw) - _SOLVER_FIELDS
+    if unknown:
+        raise ConfigurationError(f"unknown solver fields: {sorted(unknown)}")
+    starts_raw = raw.pop("starts", None)
+    if starts_raw is not None and not (
+        isinstance(starts_raw, list)
+        and starts_raw
+        and all(isinstance(s, dict) for s in starts_raw)
+    ):
+        raise ConfigurationError("solver.starts must be a non-empty list of objects")
+    try:
+        if starts_raw is None:
+            starts = default_starts()
+        else:
+            starts = tuple(
+                StartStrategy(
+                    kind=s.get("kind"),
+                    amplitude=float(s.get("amplitude", 1.0)),
+                    width=float(s["width"]) if s.get("width") is not None else None,
+                )
+                for s in starts_raw
+            )
+        return SolveOptions(starts=starts, **raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"solver options invalid: {exc}") from exc
+
+
 class ProblemConfig:
-    """Validated mirror of the JSON configuration."""
+    """Validated mirror of the JSON configuration: every section but the
+    coefficients, whose (R0) test is a check result, is built here, once."""
 
     def __init__(
         self,
@@ -123,25 +171,24 @@ class ProblemConfig:
                     f"matrices[{n}] has {len(row)} entries, expected {width} "
                     f"(row-major {2 * self.block_dim}x{2 * self.block_dim})"
                 )
-        self.nonlinearity = _section("nonlinearity", nonlinearity, _DEFAULT_NONLINEARITY)
-        family = self.nonlinearity.get("family")
-        if not isinstance(family, str) or family not in FAMILIES:
+        window = _section("window", window, _DEFAULT_WINDOW)
+        unknown = set(window) - _WINDOW_FIELDS
+        if unknown:
+            raise ConfigurationError(f"unknown window fields: {sorted(unknown)}")
+        if window.get("boundary", Boundary.ZERO_PAD) != Boundary.ZERO_PAD:
             raise ConfigurationError(
-                f"nonlinearity.family must be one of {sorted(FAMILIES)}, got {family!r}"
+                f"window.boundary must be zero_pad, got {window['boundary']!r}"
             )
-        self.window = _section("window", window, _DEFAULT_WINDOW)
-        boundary = self.window.get("boundary", "zero_pad")
-        if boundary not in (b.value for b in Boundary):
-            raise ConfigurationError(
-                f"window.boundary must be zero_pad or periodic, got {boundary!r}"
-            )
-        require_int("window.half_width", self.half_width(), 0)
-        if self.window.get("num_nodes") is not None:
-            require_int("window.num_nodes", self.window["num_nodes"], 1)
-        self.solver = _section("solver", solver, {})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProblemConfig) and self.to_dict() == other.to_dict()
+        self._num_nodes = window.get("num_nodes")
+        self._window = Window(
+            window.get("half_width", _DEFAULT_WINDOW["half_width"]),
+            Boundary.ZERO_PAD,
+            self._num_nodes,
+        )
+        self._nonlinearity = _nonlinearity(
+            self.block_dim, _section("nonlinearity", nonlinearity, _DEFAULT_NONLINEARITY)
+        )
+        self._solve_options = _solve_options(_section("solver", solver, {}))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ProblemConfig":
@@ -156,78 +203,27 @@ class ProblemConfig:
                 raise ConfigurationError(f"missing required field {req!r}")
         return cls(**raw)
 
-    def to_dict(self) -> dict:
-        return {
-            "block_dim": self.block_dim,
-            "period": self.period,
-            "matrices": self.matrices,
-            "nonlinearity": self.nonlinearity,
-            "window": self.window,
-            "solver": self.solver,
-        }
-
-    def half_width(self, override: Optional[int] = None) -> int:
-        """The window half-width: ``override`` (the --window flag) if given, else the config's."""
-        if override is not None:
-            return override
-        return self.window.get("half_width", _DEFAULT_WINDOW["half_width"])
-
-    # --- domain object builders -------------------------------------------
-
-    def coefficient_arrays(self) -> np.ndarray:
-        n2 = 2 * self.block_dim
-        return np.array(self.matrices, dtype=float).reshape(self.period, n2, n2)
+    # --- domain objects ---------------------------------------------------
 
     def build_coefficients(self) -> PeriodicCoefficients:
-        return PeriodicCoefficients(self.coefficient_arrays())
+        """S(0..T-1); raises HypothesisViolationError when they fail (R0)."""
+        n2 = 2 * self.block_dim
+        return PeriodicCoefficients(np.reshape(self.matrices, (self.period, n2, n2)))
 
     def build_window(self, half_width: Optional[int] = None) -> Window:
-        """The zero-pad window that solve and verify run on."""
-        if self.window.get("boundary", "zero_pad") != Boundary.ZERO_PAD.value:
-            raise ConfigurationError(
-                "solve and verify need window.boundary zero_pad; periodic windows "
-                "serve the spectrum command's crosscheck only"
-            )
-        return Window(self.half_width(half_width), Boundary.ZERO_PAD, self.window.get("num_nodes"))
+        """The zero-pad window, at ``half_width`` (the --window flag) when given."""
+        if half_width is None:
+            return self._window
+        return Window(half_width, Boundary.ZERO_PAD, self._num_nodes)
 
     def build_nonlinearity(self) -> Nonlinearity:
-        params = dict(self.nonlinearity)
-        family = params.pop("family")
-        try:
-            return FAMILIES[family](block_dim=self.block_dim, **params)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigurationError(f"nonlinearity parameters invalid: {exc}") from exc
+        return self._nonlinearity
 
     def build_solve_options(self, seed: Optional[int] = None) -> SolveOptions:
-        raw = dict(self.solver)
-        starts_raw = raw.pop("starts", None)
-        if seed is not None:
-            raw["seed"] = seed
-        allowed = {"max_iter", "grad_tol", "trivial_tol", "seed"}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ConfigurationError(f"unknown solver fields: {sorted(unknown)}")
-        if starts_raw is not None and not (
-            isinstance(starts_raw, list)
-            and starts_raw
-            and all(isinstance(s, dict) for s in starts_raw)
-        ):
-            raise ConfigurationError("solver.starts must be a non-empty list of objects")
-        try:
-            if starts_raw is None:
-                starts = default_starts()
-            else:
-                starts = tuple(
-                    StartStrategy(
-                        kind=s.get("kind"),
-                        amplitude=float(s.get("amplitude", 1.0)),
-                        width=float(s["width"]) if s.get("width") is not None else None,
-                    )
-                    for s in starts_raw
-                )
-            return SolveOptions(starts=starts, **raw)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigurationError(f"solver options invalid: {exc}") from exc
+        """The solve options, with ``seed`` (the --seed flag) when given."""
+        if seed is None:
+            return self._solve_options
+        return replace(self._solve_options, seed=seed)
 
 
 def load_config(path: str) -> ProblemConfig:
@@ -273,14 +269,13 @@ def _write_lines(path: Path, lines: list[str]) -> None:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
+def _orbit_header(block_dim: int) -> str:
+    """The orbit CSV header: n, x1_1..x1_N, x2_1..x2_N."""
+    return ",".join(["n"] + [f"x{h}_{i + 1}" for h in (1, 2) for i in range(block_dim)])
+
+
 def _write_orbit_csv(path: Path, orbit: BlockVector) -> None:
-    n_blk = orbit.block_dim
-    header = (
-        ["n"]
-        + [f"x1_{i + 1}" for i in range(n_blk)]
-        + [f"x2_{i + 1}" for i in range(n_blk)]
-    )
-    lines = [",".join(header)]
+    lines = [_orbit_header(orbit.block_dim)]
     for node, row in zip(orbit.window.nodes, orbit.entries):
         lines.append(",".join([str(int(node))] + [FLOAT_FORMAT % v for v in row]))
     _write_lines(path, lines)
@@ -294,13 +289,13 @@ def _read_orbit_csv(path: str, window: Window, block_dim: int) -> BlockVector:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ConfigurationError(f"orbit file {path} is empty")
-    header = lines[0].split(",")
-    expected_cols = 1 + 2 * block_dim
-    if len(header) != expected_cols:
+    header = _orbit_header(block_dim)
+    if lines[0] != header:
         raise ConfigurationError(
-            f"orbit file has {len(header)} columns, expected {expected_cols} "
+            f"orbit file header is {lines[0]!r}, expected {header!r} "
             f"for block dimension {block_dim}"
         )
+    expected_cols = 1 + 2 * block_dim
     rows = lines[1:]
     if len(rows) != window.num_nodes:
         raise ConfigurationError(
@@ -355,7 +350,8 @@ def cmd_spectrum(config: ProblemConfig, args: argparse.Namespace) -> int:
         and (abs_bands <= coeffs.Lambda0 + 2.0 + tol).all()
     )
 
-    cells = max(1, (2 * config.half_width(args.window) + 1) // coeffs.period)
+    half_width = config.build_window().half_width if args.window is None else args.window
+    cells = max(1, (2 * half_width + 1) // coeffs.period)
     crosscheck = periodic_crosscheck(coeffs, cells)
 
     summary = {
@@ -459,32 +455,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, run, help: str, aliases=()) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, aliases=list(aliases), help=help)
+    arguments = {
+        "orbit": dict(help="orbit CSV file produced by solve"),
+        "--out": dict(default="out", help="directory for CSV outputs"),
+        "--seed": dict(type=_int_at_least(0), default=None,
+                       help="RNG seed (check: sampling; solve: overrides solver.seed)"),
+        "--window": dict(type=_int_at_least(0), default=None, metavar="M",
+                         help="override the window half-width"),
+        "--grid": dict(type=_int_at_least(2), default=256, help="quasimomentum grid size"),
+        "--skip-check": dict(action="store_true",
+                             help="skip the hypothesis pre-check (recorded in the output)"),
+    }
+
+    def add_command(name: str, run, help: str, *names: str) -> None:
+        p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="path to the JSON problem config")
-        p.add_argument("--out", default="out", help="directory for CSV outputs")
-        p.add_argument("--seed", type=_int_at_least(0), default=None,
-                       help="override the RNG seed")
-        p.add_argument(
-            "--window", type=_int_at_least(0), default=None, metavar="M",
-            help="override the window half-width",
-        )
-        return p
+        for arg in names:
+            p.add_argument(arg, **arguments[arg])
 
-    add_command("check", cmd_check, "run the hypothesis checker")
-    add_command(
-        "spectrum", cmd_spectrum, "band structure CSV and spectral summary", aliases=["bands"]
-    ).add_argument(
-        "--grid", type=_int_at_least(2), default=256, help="quasimomentum grid size"
-    )
-    add_command("solve", cmd_solve, "multi-start homoclinic orbit search").add_argument(
-        "--skip-check", action="store_true",
-        help="skip the hypothesis pre-check (recorded in the output)",
-    )
-    add_command("verify", cmd_verify, "verify an orbit CSV against a config").add_argument(
-        "orbit", help="orbit CSV file produced by solve"
-    )
+    add_command("check", cmd_check, "run the hypothesis checker", "--seed")
+    add_command("spectrum", cmd_spectrum, "band structure CSV and spectral summary",
+                "--out", "--window", "--grid")
+    add_command("solve", cmd_solve, "multi-start homoclinic orbit search",
+                "--out", "--seed", "--window", "--skip-check")
+    add_command("verify", cmd_verify, "verify an orbit CSV against a config",
+                "--window", "orbit")
     return parser
 
 

@@ -120,14 +120,6 @@ class Window:
     def nodes(self) -> np.ndarray:
         return np.arange(self.lo, self.lo + self.num_nodes)
 
-    def index_of(self, n: int) -> int:
-        """Row index of node n; periodic windows wrap, zero-pad windows raise."""
-        if self.boundary is Boundary.PERIODIC:
-            return (n - self.lo) % self.num_nodes
-        if not self.lo <= n <= self.hi:
-            raise IndexError(f"node {n} outside window [{self.lo}, {self.hi}]")
-        return n - self.lo
-
     def contains(self, other: "Window") -> bool:
         return self.lo <= other.lo and self.hi >= other.hi
 
@@ -167,14 +159,6 @@ class BlockVector:
     def flat(self) -> np.ndarray:
         """Node-major, block-minor flattening (read-only view)."""
         return self.entries.reshape(-1)
-
-    def block(self, n: int) -> np.ndarray:
-        """The block at node n (zero for out-of-window nodes under zero padding)."""
-        if self.window.boundary is Boundary.ZERO_PAD and not (
-            self.window.lo <= n <= self.window.hi
-        ):
-            return np.zeros(2 * self.block_dim)
-        return self.entries[self.window.index_of(n)]
 
     def with_entries(self, entries: np.ndarray) -> "BlockVector":
         return BlockVector(self.window, self.block_dim, entries)
@@ -293,7 +277,3 @@ class PeriodicCoefficients:
         object.__setattr__(self, "block_dim", mats.shape[1] // 2)
         object.__setattr__(self, "lambda0", lam0)
         object.__setattr__(self, "Lambda0", lam1)
-
-    def matrix_at(self, n: int) -> np.ndarray:
-        """The coefficient matrix for node n (index taken modulo the period)."""
-        return self.matrices[n % self.period]

@@ -58,8 +58,7 @@ storage without an eigenbasis: a Sturm count of the eigenvalues <= 0
 (``operators.sturm_count``), one selected eigenvalue call for the two
 eigenvalues either side of zero, one banded LU of H0 - lambda+ I, and a few
 inverse-iteration solves on it from a fixed vector.  For N = 1 the band is
-tridiagonal and every step is linear in the window: on the model operator,
-one core, 8.7 ms at 2050 unknowns and 37 ms at 8194.  For N >= 2 the band's
+tridiagonal and every step is linear in the window.  For N >= 2 the band's
 reduction to tridiagonal form inside the eigenvalue call stays quadratic.
 The result is normalized with its largest-magnitude entry positive; when
 lambda+ is degenerate, any vector of its eigenspace serves.  Bump and random

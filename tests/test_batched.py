@@ -116,12 +116,13 @@ def reference_gradient_entries(ctx, x):
 
 def reference_residual(coeffs, nl, x):
     n_blk = x.block_dim
+    padded = np.pad(x.entries, ((1, 1), (0, 0)))  # the zero blocks either side of the window
     res = np.empty_like(x.entries)
     for i, n in enumerate(x.window.nodes):
         n = int(n)
         z = x.entries[i]
-        grad_h = coeffs.matrix_at(n) @ z + np.asarray(nl.gradient(n, z), dtype=float)
-        x_next, x_prev = x.block(n + 1), x.block(n - 1)
+        grad_h = coeffs.matrices[n % coeffs.period] @ z + np.asarray(nl.gradient(n, z), dtype=float)
+        x_next, x_prev = padded[i + 2], padded[i]
         res[i, :n_blk] = x_next[:n_blk] - z[:n_blk] + grad_h[n_blk:]
         res[i, n_blk:] = z[n_blk:] - x_prev[n_blk:] - grad_h[:n_blk]
     return res

@@ -28,6 +28,17 @@ def run_cli(capsys, *argv):
     return code, json.loads(out, parse_constant=reject_constant)
 
 
+def command_argv(command, config, tmp_path):
+    """``command`` on ``config`` with only the arguments it reads: --out for
+    spectrum and solve (``tmp_path``/out), an orbit file for verify."""
+    argv = [command, "--config", str(config)]
+    if command in ("spectrum", "solve"):
+        argv += ["--out", str(tmp_path / "out")]
+    if command == "verify":
+        argv.append(str(tmp_path / "orbit.csv"))
+    return argv
+
+
 @pytest.fixture()
 def model_config_path(tmp_path):
     """Model config shrunk to half_width 32 to keep solver runs quick."""
@@ -47,15 +58,6 @@ class TestConfigParsing:
         config.build_nonlinearity()
         config.build_window()
         config.build_solve_options()
-
-    @pytest.mark.parametrize("name", ["model", "period2", "n2"])
-    def test_round_trip_identity(self, name, tmp_path):
-        config = load_config(str(builtin_config_path(name)))
-        path = tmp_path / "echo.json"
-        path.write_text(json.dumps(config.to_dict()))
-        again = load_config(str(path))
-        assert again == config
-        assert again.to_dict() == config.to_dict()
 
     def test_missing_field_rejected(self):
         with pytest.raises(Exception, match="missing required field"):
@@ -187,10 +189,7 @@ class TestCheckCommand:
         raw["matrices"] = [[bad, -1.0, -1.0, 0.0]]
         path = tmp_path / "nonfinite.json"
         path.write_text(json.dumps(raw))  # writes the NaN / Infinity literals
-        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
-        if command == "verify":
-            argv.append(str(tmp_path / "orbit.csv"))
-        code = main(argv)
+        code = main(command_argv(command, path, tmp_path))
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG_ERROR
         assert "non-finite" in json.loads(captured.out)["error"]
@@ -250,17 +249,6 @@ class TestSpectrumCommand:
         assert code == EXIT_CONFIG_ERROR
         assert "--grid" in report["error"]
         assert not (tmp_path / "bands.csv").exists()
-
-    def test_bands_alias(self, capsys, tmp_path):
-        code, summary = run_cli(
-            capsys,
-            "bands",
-            "--config", str(builtin_config_path("model")),
-            "--grid", "4",
-            "--out", str(tmp_path),
-        )
-        assert code == EXIT_OK
-        assert (tmp_path / "bands.csv").exists()
 
     def test_period2_bands_column_count(self, capsys, tmp_path):
         code, summary = run_cli(
@@ -353,20 +341,16 @@ class TestSolveCommand:
         assert code == EXIT_OK
         assert payload["window"]["half_width"] == 24
 
-
-    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("command", ["check", "spectrum", "solve", "verify"])
     def test_periodic_boundary_exits_two(self, capsys, tmp_path, command):
         raw = json.loads(builtin_config_path("model").read_text())
         raw["window"]["boundary"] = "periodic"
         path = tmp_path / "periodic.json"
         path.write_text(json.dumps(raw))
-        extra = [str(tmp_path / "orbit.csv")] if command == "verify" else []
-        code, report = run_cli(
-            capsys, command, "--config", str(path), "--out", str(tmp_path / "o"), *extra
-        )
+        code, report = run_cli(capsys, *command_argv(command, path, tmp_path))
         assert code == EXIT_CONFIG_ERROR
         assert "zero_pad" in report["error"]
-        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "starts",
@@ -465,6 +449,21 @@ class TestVerifyCommand:
         assert code == EXIT_CONFIG_ERROR
         assert "error" in report
 
+    @pytest.mark.parametrize("header", ["foo,bar,baz", "n,x2_1,x1_1", "n,x1_1,x2_1,"])
+    def test_orbit_csv_header_must_match(self, capsys, solved, header):
+        config_path, orbit_path = solved
+        rows = orbit_path.read_text().splitlines()[1:]
+        edited = orbit_path.parent / "header.csv"
+        edited.write_text("\n".join([header] + rows) + "\n")
+        code, report = run_cli(capsys, "verify", "--config", config_path, str(edited))
+        assert code == EXIT_CONFIG_ERROR
+        assert "header" in report["error"]
+
+    def test_orbit_csv_header_lists_x1_then_x2(self):
+        from dhlattice.cli import _orbit_header
+
+        assert _orbit_header(2) == "n,x1_1,x1_2,x2_1,x2_2"
+
     def test_orbit_csv_labels_parse_as_int_and_rows_keep_their_width(
         self, solved, model_config_path
     ):
@@ -551,6 +550,23 @@ MALFORMED_INPUTS = [
     _case("orbit-nan-verify", "verify", orbit_cell=(3, 2, "nan")),
 ]
 
+# malformed sections that only some commands read: the config is rejected at
+# load, so every command must exit 2
+ONE_VERDICT_CHANGES = {
+    "max_iter-text": ("solver", "max_iter", "x"),
+    "solver-unknown-field": ("solver", "tolerance", 1e-8),
+    "start-kind-unknown": ("solver", "starts", [{"kind": "nope", "amplitude": 1.0}]),
+    "nu-negative": ("nonlinearity", "nu", -1),
+    "nonlinearity-unknown-parameter": ("nonlinearity", "scale", 2.0),
+    "boundary-periodic": ("window", "boundary", "periodic"),
+    "window-misspelt-key": (None, "window", {"halfwidth": 8}),
+}
+MALFORMED_INPUTS += [
+    _case(f"{name}-{command}", command, change)
+    for name, change in ONE_VERDICT_CHANGES.items()
+    for command in ("check", "spectrum", "solve", "verify")
+]
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("command, change, flags, orbit_cell", MALFORMED_INPUTS)
@@ -566,16 +582,14 @@ class TestMalformedInput:
         config.write_text(json.dumps(raw))  # writes NaN / Infinity literals as such
         existing_file = tmp_path / "file.txt"
         existing_file.write_text("not a directory\n")
-        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        argv = command_argv(command, config, tmp_path)
         argv += [str(existing_file) if f == "{file}" else f for f in flags]
         if command == "verify":
             rows = [["n", "x1_1", "x2_1"]] + [[str(n), "0", "0"] for n in range(-8, 9)]
             if orbit_cell is not None:
                 row, col, text = orbit_cell
                 rows[row][col] = text
-            orbit = tmp_path / "orbit.csv"
-            orbit.write_text("\n".join(",".join(r) for r in rows) + "\n")
-            argv.append(str(orbit))
+            (tmp_path / "orbit.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
         code = main(argv)
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG_ERROR
@@ -592,6 +606,25 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG_ERROR
         assert set(json.loads(captured.out)) == {"error"}
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("check", ["--out", "o"]), ("check", ["--window", "8"]),
+         ("spectrum", ["--seed", "3"]), ("verify", ["--seed", "7"]),
+         ("verify", ["--out", "o"]), ("bands", [])],
+        ids=["check-out", "check-window", "spectrum-seed", "verify-seed", "verify-out", "bands"],
+    )
+    def test_argument_the_command_does_not_read_exits_two(
+        self, capsys, tmp_path, command, extra
+    ):
+        argv = command_argv(command, builtin_config_path("model"), tmp_path) + extra
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG_ERROR
+        report = json.loads(captured.out)
+        assert set(report) == {"error"}
+        assert (extra or [command])[0] in report["error"]
         assert captured.err == ""
 
     def test_deeply_nested_config_exits_two(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Fuzz of the CLI's input boundary: a shipped config with one field replaced
 by an arbitrary JSON value must end in exit 0/1/2/3, with one JSON object on
-stdout and no traceback."""
+stdout and no traceback, and check, spectrum and solve must agree on whether
+it is malformed (exit 2)."""
 
 import contextlib
 import copy
@@ -97,6 +98,7 @@ def test_one_field_replaced_ends_in_documented_exit(work_dir, name, field, value
     config = work_dir / "config.json"
     config.write_text(json.dumps(raw))  # writes NaN / Infinity literals as such
     out = str(work_dir / "out")
+    malformed = []
     for argv in (
         ["check", "--config", str(config)],
         ["spectrum", "--config", str(config), "--grid", "4", "--out", out],
@@ -106,3 +108,6 @@ def test_one_field_replaced_ends_in_documented_exit(work_dir, name, field, value
         assert code in (0, 1, 2, 3), argv
         assert isinstance(json.loads(stdout, parse_constant=reject_constant), dict), argv
         assert "Traceback" not in stderr, argv
+        malformed.append(code == 2)
+    # the config is validated once, at load, so no command may see it differently
+    assert len(set(malformed)) == 1, (field, value, malformed)

@@ -51,13 +51,6 @@ class TestWindow:
         with pytest.raises(ConfigurationError):
             Window(2, Boundary.ZERO_PAD, num_nodes=1)  # range [-2, -2]
 
-    def test_index_wrapping(self):
-        w = Window.periodic(5)
-        assert w.index_of(w.lo - 1) == w.num_nodes - 1
-        zp = Window.zero_pad(2)
-        with pytest.raises(IndexError):
-            zp.index_of(3)
-
 
 class TestBlockVector:
     def test_shape_validation(self):
@@ -78,12 +71,6 @@ class TestBlockVector:
         x = random_block_vector(w, 2, rng)
         y = BlockVector.from_flat(w, 2, x.flat)
         np.testing.assert_array_equal(x.entries, y.entries)
-
-    def test_out_of_window_block_is_zero(self):
-        w = Window.zero_pad(1)
-        x = BlockVector(w, 1, np.ones((3, 2)))
-        np.testing.assert_array_equal(x.block(2), np.zeros(2))
-        np.testing.assert_array_equal(x.block(1), np.ones(2))
 
 
 class TestL2Inner:
@@ -258,10 +245,3 @@ class TestPeriodicCoefficients:
         coeffs = model_coefficients()
         with pytest.raises(ValueError):
             coeffs.matrices[0, 0, 0] = 5.0
-
-    def test_matrix_at_wraps(self):
-        coeffs = PeriodicCoefficients(
-            [[[0.2, -1.0], [-1.0, 0.2]], [[-0.1, -1.1], [-1.1, -0.1]]]
-        )
-        np.testing.assert_array_equal(coeffs.matrix_at(-1), coeffs.matrices[1])
-        np.testing.assert_array_equal(coeffs.matrix_at(4), coeffs.matrices[0])

@@ -96,7 +96,7 @@ class TestInitialGuess:
     def test_gaussian_profile(self):
         ctx = model_ctx(8)
         x = initial_guess("gaussian", ctx, 2.0, width=3.0)
-        center = x.window.index_of(0)
+        center = 0 - x.window.lo
         np.testing.assert_allclose(
             x.entries[center], 2.0 * np.ones(2) / np.sqrt(2.0), atol=1e-12
         )

@@ -192,7 +192,7 @@ class TestVerifyOrbit:
     def test_corrupted_entry_localizes(self, model_orbit):
         ctx, orbit = model_orbit
         entries = np.array(orbit.entries)
-        center = orbit.window.index_of(0)
+        center = 0 - orbit.window.lo
         entries[center, 0] += 0.1
         bad = BlockVector(orbit.window, 1, entries)
         res, res_inf = residual_DHS(ctx.op.coeffs, ctx.nl, bad)
