@@ -91,10 +91,13 @@ _SOLVER_FIELDS = {"max_iter", "grad_tol", "trivial_tol", "seed", "starts"}
 
 
 def _section(name: str, value, default: dict) -> dict:
-    """A copy of a config sub-object, or of ``default`` when it is absent or empty."""
-    if value is not None and not isinstance(value, dict):
+    """A copy of a config sub-object, or of ``default`` when it is absent; a
+    given section, even an empty one, is validated as it stands."""
+    if value is None:
+        return dict(default)
+    if not isinstance(value, dict):
         raise ConfigurationError(f"{name} must be a JSON object, got {value!r}")
-    return dict(value) if value else dict(default)
+    return dict(value)
 
 
 def _nonlinearity(block_dim: int, params: dict) -> Nonlinearity:
@@ -274,11 +277,16 @@ def _orbit_header(block_dim: int) -> str:
     return ",".join(["n"] + [f"x{h}_{i + 1}" for h in (1, 2) for i in range(block_dim)])
 
 
+def _csv_rows(first_format: str, table: np.ndarray) -> list[str]:
+    """One CSV line per row of ``table``: the first column in ``first_format``,
+    the rest in FLOAT_FORMAT, each line written by one format operation."""
+    row_format = ",".join([first_format] + [FLOAT_FORMAT] * (table.shape[1] - 1))
+    return [row_format % tuple(row) for row in table.tolist()]
+
+
 def _write_orbit_csv(path: Path, orbit: BlockVector) -> None:
-    lines = [_orbit_header(orbit.block_dim)]
-    for node, row in zip(orbit.window.nodes, orbit.entries):
-        lines.append(",".join([str(int(node))] + [FLOAT_FORMAT % v for v in row]))
-    _write_lines(path, lines)
+    table = np.column_stack([orbit.window.nodes, orbit.entries])
+    _write_lines(path, [_orbit_header(orbit.block_dim)] + _csv_rows("%d", table))
 
 
 def _read_orbit_csv(path: str, window: Window, block_dim: int) -> BlockVector:
@@ -338,10 +346,9 @@ def cmd_spectrum(config: ProblemConfig, args: argparse.Namespace) -> int:
     bands = band_structure(coeffs, args.grid)
     band_path = out_dir / "bands.csv"
     n_bands = bands.bands.shape[1]
-    lines = [",".join(["theta"] + [f"band_{i + 1}" for i in range(n_bands)])]
-    for theta, row in zip(bands.thetas, bands.bands):
-        lines.append(",".join([FLOAT_FORMAT % theta] + [FLOAT_FORMAT % v for v in row]))
-    _write_lines(band_path, lines)
+    header = ",".join(["theta"] + [f"band_{i + 1}" for i in range(n_bands)])
+    table = np.column_stack([bands.thetas, bands.bands])
+    _write_lines(band_path, [header] + _csv_rows(FLOAT_FORMAT, table))
 
     tol = 1e-9
     abs_bands = np.abs(bands.bands)

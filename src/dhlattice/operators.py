@@ -20,9 +20,9 @@ stored in LAPACK lower-banded form with 2N rows.  A periodic matrix is dense,
 because the wrap-around couplings fill its corners.  Periodic windows serve
 spectral certification only; the orbit search runs on zero-pad windows.  The
 periodic crosscheck of ``spectrum`` does not assemble its window: it reorders
-the ring's nodes as 0, K-1, 1, K-2, ..., which brings every coupling, the
-wrap-around one included, within a scalar bandwidth of 6N - 1, and takes the
-eigenvalues from that folded band storage.
+the ring's L = 2NK scalar unknowns as 0, L-1, 1, L-2, ..., which brings every
+coupling, the wrap-around one included, within a scalar half-bandwidth of
+4N - 2, and takes the eigenvalues from that folded band storage.
 
 One builder makes every dense matrix: the nodes closed into a ring, with
 the wrap-around coupling weighted by a phase.  Phase 1 on the window's nodes
@@ -157,39 +157,32 @@ def _assemble_banded(window: Window, coeffs: PeriodicCoefficients) -> np.ndarray
 
 
 def _folded_ring_bands(coeffs: PeriodicCoefficients, count: int) -> np.ndarray:
-    """Lower-banded storage of the periodic ring on nodes 0..count-1, with the
-    nodes ordered 0, count-1, 1, count-2, 2, ...: bands[k, j] = P[j + k, j].
+    """Lower-banded storage of the periodic ring on nodes 0..count-1, with its
+    scalar unknowns ordered 0, L-1, 1, L-2, 2, ...: bands[k, j] = P[j + k, j].
 
     P is ``_ring_matrix(coeffs, arange(count), 1.0)`` under a symmetric
-    permutation, so it has the ring's eigenvalues.  Node i sits at position 2i
-    (ascending half) or 2(count-1-i)+1 (descending half), so every ring edge
-    joins positions at most two apart and the scalar half-bandwidth is at most
-    3 * 2N - 1.  The wrap-around edge count-1 -> 0 joins positions 1 and 0, and
-    the edge where the halves meet joins the last two positions.
+    permutation, so it has the ring's eigenvalues.  The ring's L = 2N count
+    unknowns are numbered node-major; unknown s sits at position 2s (ascending
+    half) or 2(L-1-s)+1 (descending half).  Every ring coupling, the
+    wrap-around one included, joins unknowns at most 2N - 1 apart around the
+    ring, so positions at most 4N - 2 apart: 4N - 1 band rows, or 2N on one
+    node.  One scatter writes the lower triangle of each diagonal block and
+    the -1 from node m's z1 rows to node m-1's x2 columns; on one node that
+    coupling lands in the diagonal block and adds to it.
     """
-    order = np.empty(count, dtype=int)
-    order[0::2] = np.arange((count + 1) // 2)
-    order[1::2] = count - 1 - np.arange(count // 2)
-    diags, c_low = _node_blocks(coeffs, order)
-    n2 = 2 * coeffs.block_dim
-    if count == 1:
-        # both wrap-around blocks land on the one diagonal block
-        diags = diags + c_low + c_low.T
-    bands = _diagonal_bands(diags, 3 * n2)
-    # position p couples to p + 2 for p < count - 2: on even p the edge runs
-    # from node p/2 up to p/2 + 1, block (p + 2, p) = c_low; on odd p it runs
-    # from p + 2's node up to p's, so the block is c_low^T
-    stop = max(count - 2, 0) * n2
-    for start, blk in ((0, c_low), (n2, c_low.T)):
-        for b, a in zip(*np.nonzero(blk)):
-            bands[2 * n2 + b - a, start + a : stop : 2 * n2] = blk[b, a]
-    if count > 1:
-        # block (1, 0) holds the wrap-around edge; block (count-1, count-2)
-        # the middle edge, upward on even counts; on two nodes they coincide
-        middle = c_low if count % 2 == 0 else c_low.T
-        for p, blk in ((0, c_low.T), (count - 2, middle)):
-            for b, a in zip(*np.nonzero(blk)):
-                bands[n2 + b - a, p * n2 + a] += blk[b, a]
+    diags, c_low = _node_blocks(coeffs, np.arange(count))
+    n2 = diags.shape[1]
+    size = count * n2
+    b, a = np.tril_indices(n2)
+    cb, ca = np.nonzero(c_low)
+    first = np.arange(count)[:, None] * n2
+    rows = np.concatenate([(first + b).ravel(), (first + cb).ravel()])
+    cols = np.concatenate([(first + a).ravel(), (np.roll(first, 1, axis=0) + ca).ravel()])
+    vals = np.concatenate([diags[:, b, a].ravel(), np.tile(c_low[cb, ca], count)])
+    unknowns = np.arange(size)
+    pos = np.minimum(2 * unknowns, 2 * (size - 1 - unknowns) + 1)
+    bands = np.zeros((min(2 * n2 - 1, size), size))
+    np.add.at(bands, (np.abs(pos[rows] - pos[cols]), np.minimum(pos[rows], pos[cols])), vals)
     return bands
 
 

@@ -101,8 +101,9 @@ def periodic_crosscheck(coeffs: PeriodicCoefficients, cells: int) -> dict:
 
     The two sets are equal in exact arithmetic; ``max_mismatch`` is the largest
     gap between them after sorting.  The window's K = cells * T nodes are not
-    assembled: one banded eigensolve of the folded ring takes O(K^2 N^3) time
-    and O(K N^2) memory, where a dense one takes O(K^3 N^3) and O(K^2 N^2).
+    assembled: the folded ring has half-bandwidth 4N - 2, so its one banded
+    eigensolve takes O(K^2 N^3) time and O(K N^2) memory, where a dense one
+    takes O(K^3 N^3) and O(K^2 N^2).
     """
     import scipy.linalg  # deferred: commands without LAPACK, like check, skip its import
     count = cells * coeffs.period

@@ -14,11 +14,14 @@ from dhlattice.cli import (
     EXIT_NO_ORBIT,
     EXIT_OK,
     ProblemConfig,
+    _csv_rows,
     build_parser,
     builtin_config_path,
     load_config,
     main,
 )
+from dhlattice.core import Window
+from dhlattice.solver import SolveOptions
 from helpers import reject_constant
 
 
@@ -79,6 +82,37 @@ class TestConfigParsing:
                     "nonlinearity": {"family": "cubic"},
                 }
             )
+
+    def test_empty_nonlinearity_names_the_missing_family(self, capsys, tmp_path):
+        # an empty section is validated like a partial one, not replaced by the default
+        raw = json.loads(builtin_config_path("model").read_text())
+        raw["nonlinearity"] = {}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(raw))
+        code, report = run_cli(capsys, "check", "--config", str(path))
+        assert code == EXIT_CONFIG_ERROR
+        assert "nonlinearity.family" in report["error"]
+
+    def test_empty_window_and_solver_take_their_field_defaults(self):
+        raw = json.loads(builtin_config_path("model").read_text())
+        absent = ProblemConfig.from_dict(
+            {k: v for k, v in raw.items() if k not in ("window", "solver")}
+        )
+        empty = ProblemConfig.from_dict({**raw, "window": {}, "solver": {}})
+        for config in (absent, empty):
+            assert config.build_window() == Window(64)
+            assert config.build_solve_options() == SolveOptions()
+
+    @pytest.mark.parametrize("first_format", ["%.17g", "%d"])
+    def test_row_format_equals_per_element_join(self, first_format):
+        table = np.array(
+            [[-3.0, -0.0, 5e-324, 1e300, -1.5], [0.0, np.pi, -1e-300, np.inf, np.nan]]
+        )
+        per_element = [
+            ",".join([first_format % row[0]] + ["%.17g" % v for v in row[1:]])
+            for row in table
+        ]
+        assert _csv_rows(first_format, table) == per_element
 
 
 class TestCheckCommand:
@@ -560,6 +594,7 @@ ONE_VERDICT_CHANGES = {
     "nonlinearity-unknown-parameter": ("nonlinearity", "scale", 2.0),
     "boundary-periodic": ("window", "boundary", "periodic"),
     "window-misspelt-key": (None, "window", {"halfwidth": 8}),
+    "nonlinearity-empty": (None, "nonlinearity", {}),
 }
 MALFORMED_INPUTS += [
     _case(f"{name}-{command}", command, change)

@@ -271,19 +271,21 @@ def random_n2_t4_coefficients():
     "coeffs_fn",
     [model_coefficients, period2_coefficients, n2_coefficients, random_n2_t4_coefficients],
 )
-@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 9])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 9, 64])
 def test_folded_ring_bands_equal_permuted_ring(coeffs_fn, count):
-    # on one and two nodes both wrap-around blocks land on one block
+    # the ring's scalar unknowns in the order 0, L-1, 1, L-2, ...; on one node
+    # both wrap-around blocks land in the diagonal block
     coeffs = coeffs_fn()
-    n2 = 2 * coeffs.block_dim
-    order = [i // 2 if i % 2 == 0 else count - 1 - i // 2 for i in range(count)]
-    perm = (np.array(order)[:, None] * n2 + np.arange(n2)).reshape(-1)
-    folded = _ring_matrix(coeffs, np.arange(count), 1.0)[perm][:, perm]
-    dim = folded.shape[0]
+    n = coeffs.block_dim
+    ring = _ring_matrix(coeffs, np.arange(count), 1.0)
+    dim = ring.shape[0]
+    perm = [i // 2 if i % 2 == 0 else dim - 1 - i // 2 for i in range(dim)]
+    folded = ring[perm][:, perm]
+    rows_expected = 2 * n if count == 1 else 4 * n - 1
     rows, cols = np.nonzero(folded)
-    assert np.abs(rows - cols).max() < 3 * n2
-    expected = np.zeros((3 * n2, dim))
-    for k in range(min(3 * n2, dim)):
+    assert np.abs(rows - cols).max() == rows_expected - 1
+    expected = np.zeros((rows_expected, dim))
+    for k in range(rows_expected):
         expected[k, : dim - k] = np.diagonal(folded, -k)
     assert np.array_equal(_folded_ring_bands(coeffs, count), expected)
 
