@@ -15,8 +15,10 @@ orbit found.
 ``load_config`` builds a config's window, nonlinearity and solve options, so
 all commands give a config the same verdict.  A bad field, flag or
 orbit-file value raises ``ConfigurationError``, which ``main`` reports as
-``{"error": ...}`` with exit 2.  Integer fields take JSON integers only, orbit
-files finite numbers under the header ``n,x1_1..x1_N,x2_1..x2_N`` only.
+``{"error": ...}`` with exit 2.  Integer fields take JSON integers only, number
+fields JSON numbers only (not booleans or strings), a section a JSON object
+only (not null), orbit files finite numbers under the header
+``n,x1_1..x1_N,x2_1..x2_N`` only.
 Coefficients that fail the hypothesis (R0) exit 1.
 
 The configuration is a JSON object with explicit dimensions; matrices are
@@ -60,6 +62,7 @@ from .core import (
     PeriodicCoefficients,
     Window,
     require_int,
+    require_real,
 )
 from .functional import FunctionalContext
 from .nonlinearity import FAMILIES, Nonlinearity, SamplingPlan, check_hypotheses
@@ -84,17 +87,18 @@ def builtin_config_path(name: str) -> Path:
         return Path(path)
 
 
+# sections a config leaves out; each is copied before it is read, never changed
 _DEFAULT_NONLINEARITY = {"family": "radial_rational", "nu": 4.0}
 _DEFAULT_WINDOW = {"half_width": 64, "boundary": "zero_pad"}
-_WINDOW_FIELDS = {"half_width", "num_nodes", "boundary"}
-_SOLVER_FIELDS = {"max_iter", "grad_tol", "trivial_tol", "seed", "starts"}
+_DEFAULT_SOLVER: dict = {}
+_WINDOW_FIELDS = {"half_width", "boundary"}
+_SOLVER_FIELDS = {"max_iter", "seed", "starts"}
+_START_FIELDS = {"kind", "amplitude", "width"}
 
 
-def _section(name: str, value, default: dict) -> dict:
-    """A copy of a config sub-object, or of ``default`` when it is absent; a
-    given section, even an empty one, is validated as it stands."""
-    if value is None:
-        return dict(default)
+def _section(name: str, value) -> dict:
+    """A copy of a config sub-object; a given section, even an empty one, is
+    validated as it stands, and null is not a section."""
     if not isinstance(value, dict):
         raise ConfigurationError(f"{name} must be a JSON object, got {value!r}")
     return dict(value)
@@ -125,16 +129,18 @@ def _solve_options(raw: dict) -> SolveOptions:
         and all(isinstance(s, dict) for s in starts_raw)
     ):
         raise ConfigurationError("solver.starts must be a non-empty list of objects")
+    for i, s in enumerate(starts_raw or ()):
+        unknown = set(s) - _START_FIELDS
+        if unknown:
+            raise ConfigurationError(f"unknown solver.starts[{i}] fields: {sorted(unknown)}")
+        if "width" in s and s["width"] is None:  # StartStrategy reads None as absent
+            raise ConfigurationError(f"solver.starts[{i}].width must be a number, got None")
     try:
         if starts_raw is None:
             starts = default_starts()
         else:
             starts = tuple(
-                StartStrategy(
-                    kind=s.get("kind"),
-                    amplitude=float(s.get("amplitude", 1.0)),
-                    width=float(s["width"]) if s.get("width") is not None else None,
-                )
+                StartStrategy(s.get("kind"), s.get("amplitude", 1.0), s.get("width"))
                 for s in starts_raw
             )
         return SolveOptions(starts=starts, **raw)
@@ -151,18 +157,18 @@ class ProblemConfig:
         block_dim: int,
         period: int,
         matrices: list[list[float]],
-        nonlinearity: Optional[dict] = None,
-        window: Optional[dict] = None,
-        solver: Optional[dict] = None,
+        nonlinearity: dict = _DEFAULT_NONLINEARITY,
+        window: dict = _DEFAULT_WINDOW,
+        solver: dict = _DEFAULT_SOLVER,
     ) -> None:
         self.block_dim = require_int("block_dim", block_dim, 1)
         self.period = require_int("period", period, 1)
         if not (isinstance(matrices, list) and all(isinstance(row, list) for row in matrices)):
             raise ConfigurationError("matrices must be a list of rows of numbers")
-        try:
-            self.matrices = [[float(v) for v in row] for row in matrices]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigurationError(f"matrices holds a non-numeric entry: {exc}") from exc
+        self.matrices = [
+            [require_real(f"matrices[{n}] entry", v) for v in row]
+            for n, row in enumerate(matrices)
+        ]
         if len(self.matrices) != self.period:
             raise ConfigurationError(
                 f"matrices holds {len(self.matrices)} rows but period is {self.period}"
@@ -174,7 +180,7 @@ class ProblemConfig:
                     f"matrices[{n}] has {len(row)} entries, expected {width} "
                     f"(row-major {2 * self.block_dim}x{2 * self.block_dim})"
                 )
-        window = _section("window", window, _DEFAULT_WINDOW)
+        window = _section("window", window)
         unknown = set(window) - _WINDOW_FIELDS
         if unknown:
             raise ConfigurationError(f"unknown window fields: {sorted(unknown)}")
@@ -182,16 +188,9 @@ class ProblemConfig:
             raise ConfigurationError(
                 f"window.boundary must be zero_pad, got {window['boundary']!r}"
             )
-        self._num_nodes = window.get("num_nodes")
-        self._window = Window(
-            window.get("half_width", _DEFAULT_WINDOW["half_width"]),
-            Boundary.ZERO_PAD,
-            self._num_nodes,
-        )
-        self._nonlinearity = _nonlinearity(
-            self.block_dim, _section("nonlinearity", nonlinearity, _DEFAULT_NONLINEARITY)
-        )
-        self._solve_options = _solve_options(_section("solver", solver, {}))
+        self._window = Window.zero_pad(window.get("half_width", _DEFAULT_WINDOW["half_width"]))
+        self._nonlinearity = _nonlinearity(self.block_dim, _section("nonlinearity", nonlinearity))
+        self._solve_options = _solve_options(_section("solver", solver))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ProblemConfig":
@@ -217,7 +216,7 @@ class ProblemConfig:
         """The zero-pad window, at ``half_width`` (the --window flag) when given."""
         if half_width is None:
             return self._window
-        return Window(half_width, Boundary.ZERO_PAD, self._num_nodes)
+        return Window.zero_pad(half_width)
 
     def build_nonlinearity(self) -> Nonlinearity:
         return self._nonlinearity

@@ -46,6 +46,17 @@ def require_int(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def require_real(name: str, value) -> float:
+    """``value`` as a float if it is a real number (not a bool or a string)
+    within the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ConfigurationError(f"{name} is beyond the float range") from exc
+
+
 class SpectralGapError(ArithmeticError):
     """An eigenvalue sits too close to zero for a sign splitting."""
 

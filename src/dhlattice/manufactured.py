@@ -98,7 +98,6 @@ def manufactured_problem(
         gradient=gradient,
         hessian=None,
         s_infinity=np.zeros((count, n2, n2)),
-        label=f"manufactured(decay={decay:g})",
     )
 
     def ctx_builder(w: Window) -> FunctionalContext:

@@ -49,7 +49,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import PeriodicCoefficients, SYMMETRY_TOL
+from .core import PeriodicCoefficients, SYMMETRY_TOL, require_real
 
 ORIGIN_TOL = 1e-12
 NONNEGATIVITY_TOL = 1e-12
@@ -91,7 +91,6 @@ class Nonlinearity:
     gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
     s_infinity: np.ndarray
     hessian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    label: str = "custom"
     lambda_infinity: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -138,7 +137,6 @@ def eval_tildeR(nl: Nonlinearity, n, z: np.ndarray):
 def _radial_family(
     nu: float,
     block_dim: int,
-    label: str,
     f: Callable[[np.ndarray], np.ndarray],
     fp: Callable[[np.ndarray], np.ndarray],
     fpp: Callable[[np.ndarray], np.ndarray],
@@ -173,12 +171,12 @@ def _radial_family(
         gradient=gradient,
         hessian=hessian,
         s_infinity=s_inf,
-        label=label,
     )
 
 
 def _require_positive(name: str, value: float, allow_zero: bool = False) -> None:
-    """Reject NaN, infinities and values below the family's range."""
+    """Reject bools, non-numbers, NaN, infinities and values below the family's range."""
+    value = require_real(name, value)
     if not math.isfinite(value) or value < 0 or (value == 0 and not allow_zero):
         kind = "nonnegative" if allow_zero else "positive"
         raise ValueError(f"{name} must be finite and {kind}, got {value}")
@@ -190,7 +188,6 @@ def family_radial_rational(nu: float, block_dim: int = 1) -> Nonlinearity:
     return _radial_family(
         nu,
         block_dim,
-        f"radial_rational(nu={nu:g})",
         f=lambda r: 0.5 * nu * r * r / (1.0 + r),
         fp=lambda r: 0.5 * nu * (r * r + 2.0 * r) / np.float_power(1.0 + r, 2),
         fpp=lambda r: nu / np.float_power(1.0 + r, 3),
@@ -203,7 +200,6 @@ def family_log_saturating(nu: float, block_dim: int = 1) -> Nonlinearity:
     return _radial_family(
         nu,
         block_dim,
-        f"log_saturating(nu={nu:g})",
         f=lambda r: 0.5 * nu * (r - np.log1p(r)),
         fp=lambda r: 0.5 * nu * r / (1.0 + r),
         fpp=lambda r: 0.5 * nu / np.float_power(1.0 + r, 2),
@@ -217,7 +213,6 @@ def family_quadratic(strength: float, block_dim: int = 1) -> Nonlinearity:
     return _radial_family(
         c,
         block_dim,
-        f"quadratic(strength={c:g})",
         f=lambda r: 0.5 * c * r,
         fp=lambda r: np.full_like(r, 0.5 * c),
         fpp=np.zeros_like,

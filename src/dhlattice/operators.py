@@ -47,27 +47,20 @@ from .core import (
 )
 
 
-def _neighbor(entries: np.ndarray, step: int, boundary: Boundary) -> np.ndarray:
-    """Row i of the result holds row i + step of ``entries`` under the boundary
-    rule; rows run along the second-to-last axis, leading axes are a stack."""
-    if boundary is Boundary.PERIODIC:
-        return np.roll(entries, -step, axis=-2)
-    out = np.zeros_like(entries)
-    if step == 1:
-        out[..., :-1, :] = entries[..., 1:, :]
-    elif step == -1:
-        out[..., 1:, :] = entries[..., :-1, :]
-    else:
-        raise ValueError("only unit steps are needed")
-    return out
-
-
 def _difference_rows(entries: np.ndarray, block_dim: int, boundary: Boundary) -> np.ndarray:
-    """Rows of A x on the raw (..., K, 2N) entries of x, or of each x in a stack."""
+    """Rows of A x on the raw (..., K, 2N) entries of x, or of each x in a stack.
+
+    A zero-pad window's first row has no x2(n-1) and its last row no x1(n+1);
+    a periodic window subtracts the wrapped row there.
+    """
     x1, x2 = entries[..., :block_dim], entries[..., block_dim:]
-    out = np.empty_like(entries)
-    out[..., :block_dim] = x2 - _neighbor(x2, -1, boundary)
-    out[..., block_dim:] = x1 - _neighbor(x1, +1, boundary)
+    out = np.concatenate([x2, x1], axis=-1)
+    z1, z2 = out[..., :block_dim], out[..., block_dim:]
+    z1[..., 1:, :] -= x2[..., :-1, :]
+    z2[..., :-1, :] -= x1[..., 1:, :]
+    if boundary is Boundary.PERIODIC:
+        z1[..., :1, :] -= x2[..., -1:, :]
+        z2[..., -1:, :] -= x1[..., :1, :]
     return out
 
 

@@ -67,7 +67,6 @@ starts cover orbits the delocalized eigenvector misses.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -80,12 +79,14 @@ from .core import (
     NumericalError,
     lp_norm,
     require_int,
+    require_real,
     shift,
 )
 from .functional import FunctionalContext, Phi
 from .operators import TruncatedOperator, _diagonal_bands, assemble, banded_matvec, sturm_count
 from .verify import TRIVIAL_TOL, VerificationReport, verify_orbit
 
+GRAD_TOL = 1e-10
 POLISH_FLOOR = 1e-13
 STAGNATION_WINDOW = 30
 STAGNATION_RATIO = 0.9
@@ -100,7 +101,8 @@ START_KINDS = ("linking", "gaussian", "random")
 
 @dataclass(frozen=True)
 class StartStrategy:
-    """One initial-guess recipe for the multi-start driver."""
+    """One initial-guess recipe for the multi-start search; amplitude and
+    width must be real numbers, stored as floats."""
 
     kind: str  # one of START_KINDS
     amplitude: float
@@ -111,6 +113,9 @@ class StartStrategy:
             raise ConfigurationError(
                 f"start kind must be one of {list(START_KINDS)}, got {self.kind!r}"
             )
+        object.__setattr__(self, "amplitude", require_real("start amplitude", self.amplitude))
+        if self.width is not None:
+            object.__setattr__(self, "width", require_real("start width", self.width))
         if not 0.0 <= self.amplitude < np.inf:
             raise ConfigurationError(
                 f"start amplitude must be finite and nonnegative, got {self.amplitude}"
@@ -140,23 +145,16 @@ def default_starts() -> tuple[StartStrategy, ...]:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Iteration budget, tolerances, starts and seed; the line search constants are fixed."""
+    """Iteration budget, starts and seed; the tolerances (GRAD_TOL, and
+    TRIVIAL_TOL for the trivial status) and the line search constants are fixed."""
 
     max_iter: int = 200
-    grad_tol: float = 1e-10
-    trivial_tol: float = TRIVIAL_TOL
     starts: tuple[StartStrategy, ...] = field(default_factory=default_starts)
     seed: int = 0
 
     def __post_init__(self) -> None:
         require_int("max_iter", self.max_iter, 1)
         require_int("seed", self.seed, 0)
-        for name in ("grad_tol", "trivial_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                isinstance(value, numbers.Real) and 0.0 < value < np.inf
-            ):
-                raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(eq=False)
@@ -204,24 +202,25 @@ def initial_guess(
     ctx: FunctionalContext,
     amplitude: float,
     *,
-    width: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> BlockVector:
-    """Build a starting vector; ``strategy`` is a StartStrategy or its kind string.
+    """Build a starting vector; ``strategy`` is a StartStrategy or its kind
+    string, and ``amplitude`` replaces the strategy's own.
 
     ``linking`` is the unit eigenvector of the smallest positive eigenvalue of
     the zero-pad operator (any unit vector of its eigenspace when that
     eigenvalue is degenerate), signed so its largest-magnitude entry is
     positive, times ``amplitude``; it is computed from the band storage by
     inverse iteration (module docstring) and raises ConfigurationError on a
-    periodic window.  ``gaussian`` is a bump of the given width along the
-    diagonal direction; ``random`` draws from ``rng``.  A bad kind, amplitude
-    or width raises ConfigurationError, as in StartStrategy.
+    periodic window.  ``gaussian`` is a bump along the diagonal direction, of
+    the strategy's width (a kind string gets the default, an eighth of the
+    half-width); ``random`` draws from ``rng``.  A bad kind or amplitude
+    raises ConfigurationError, as in StartStrategy.
     """
     if isinstance(strategy, StartStrategy):
-        width = strategy.width if width is None else width
-        strategy = strategy.kind
-    start = StartStrategy(strategy, amplitude, width)
+        start = replace(strategy, amplitude=amplitude)
+    else:
+        start = StartStrategy(strategy, amplitude)
     window = ctx.window
     n2 = 2 * ctx.op.block_dim
     if start.kind == "linking":
@@ -229,7 +228,7 @@ def initial_guess(
         flat = amplitude * _linking_direction(ctx.op.bands)
         return BlockVector.from_flat(window, ctx.op.block_dim, flat)
     if start.kind == "gaussian":
-        w = width if width is not None else max(window.half_width, 1) / 8.0
+        w = start.width if start.width is not None else max(window.half_width, 1) / 8.0
         direction = np.ones(n2) / np.sqrt(n2)
         profile = amplitude * np.exp(-((window.nodes / w) ** 2))
         return BlockVector(window, ctx.op.block_dim, np.outer(profile, direction))
@@ -371,7 +370,7 @@ def newton_solve(
     """Damped Newton iteration on the gradient from a single starting vector.
 
     Convergence requires the max block norm of the gradient to fall below
-    ``grad_tol``; once there the iteration keeps polishing while each step
+    GRAD_TOL; once there the iteration keeps polishing while each step
     still halves the residual, down to the floating-point floor, so tail
     entries of the orbit stay meaningful well below the tolerance.  A start
     whose residual stalls short of the tolerance stops at the stagnation exit
@@ -423,7 +422,7 @@ def newton_solve(
     regularizations = 0
     fallback_steps = 0
     polish = 0
-    converged = g_inf <= opts.grad_tol
+    converged = g_inf <= GRAD_TOL
     stop_reason = "max_iter"
     iterations = 0
 
@@ -473,7 +472,7 @@ def newton_solve(
         x, g, g_inf = x_trial, g_trial, new_inf
         history.append(g_inf)
         best.append(min(best[-1], g_inf))
-        if g_inf <= opts.grad_tol:
+        if g_inf <= GRAD_TOL:
             converged = True
         elif (
             iterations >= STAGNATION_WINDOW
@@ -496,7 +495,7 @@ def newton_solve(
     report = None
     if not converged:
         status = "no_convergence"
-    elif lp_norm(orbit, np.inf) <= opts.trivial_tol:
+    elif lp_norm(orbit, np.inf) <= TRIVIAL_TOL:
         status = "trivial"
     elif not run_verification:
         status = "converged"
@@ -511,8 +510,9 @@ def newton_solve(
 def verify_candidate(
     ctx: FunctionalContext, orbit: BlockVector, opts: SolveOptions
 ) -> VerificationReport:
-    """Every orbit check, with the options' trivial_tol; the window-doubling
-    re-solve reuses the options without starts."""
+    """Every orbit check; the window-doubling re-solve runs on contexts built
+    from ``ctx``'s coefficients and nonlinearity, with the options' iteration
+    budget and no starts."""
     return verify_orbit(
         ctx,
         orbit,

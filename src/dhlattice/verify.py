@@ -25,15 +25,16 @@ The tolerances are fixed module constants:
 * DECAY_RATE_MAX = 1.0       fitted per-node decay rate must lie below it
 * R_SQUARED_MIN = 0.99       r^2 of the decay fit must exceed it
 * TAIL_FRACTION = 0.25       share of usable nodes per side in the decay fit
-* TRIVIAL_TOL = 1e-6         default of ``SolveOptions.trivial_tol``: an orbit
-                             with max block norm at or below it is trivial
+* TRIVIAL_TOL = 1e-6         an orbit with max block norm at or below it is
+                             trivial: it fails the nontrivial check, and the
+                             solver reports it with status ``trivial``
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -168,15 +169,15 @@ def window_stability(
 
 @dataclass(eq=False)
 class VerificationReport:
-    """Outcome of all orbit checks; ``passed`` iff every check run is in tolerance."""
+    """Outcome of all orbit checks; ``passed`` iff every check is in tolerance."""
 
     dhs_residual_inf: float
     energy_identity_defect: float
     orbit_linf: float
     decay: DecayFit
-    window_stability_inf: Optional[float] = None
-    checks: dict = field(default_factory=dict)
-    passed: bool = False
+    window_stability_inf: float
+    checks: dict
+    passed: bool
 
     def to_dict(self) -> dict:
         return {
@@ -194,34 +195,28 @@ def verify_orbit(
     ctx: FunctionalContext,
     x: BlockVector,
     *,
-    ctx_builder: Optional[Callable[[Window], FunctionalContext]] = None,
-    solve_opts=None,
+    ctx_builder: Callable[[Window], FunctionalContext],
+    solve_opts,
 ) -> VerificationReport:
     """Run every orbit check and combine them into a report.
 
     ``x`` must live on a zero-pad window (``residual_DHS`` raises ValueError
-    otherwise).  ``solve_opts`` supplies ``trivial_tol`` for the nontrivial
-    check (TRIVIAL_TOL without it); the window-doubling re-solve runs only
-    when both ``ctx_builder`` and ``solve_opts`` are given.
+    otherwise).  The window-doubling re-solve builds its context with
+    ``ctx_builder`` and runs ``newton_solve`` with ``solve_opts``.
     """
-    trivial_tol = TRIVIAL_TOL if solve_opts is None else solve_opts.trivial_tol
     _, res_inf = residual_DHS(ctx.op.coeffs, ctx.nl, x)
     energy = energy_identity_check(ctx, x)
     linf = lp_norm(x, np.inf)
     fit = decay_fit(x)
+    drift = window_stability(ctx_builder, x, solve_opts)
     checks = {
         "residual": res_inf <= RESIDUAL_TOL,
         "energy_identity": energy <= ENERGY_TOL,
-        "nontrivial": linf > trivial_tol,
+        "nontrivial": linf > TRIVIAL_TOL,
         "decay": fit.conclusive and fit.rate < DECAY_RATE_MAX and fit.r_squared > R_SQUARED_MIN,
+        "window_stability": drift <= WINDOW_DRIFT_TOL,
     }
-    report = VerificationReport(
-        dhs_residual_inf=res_inf, energy_identity_defect=energy, orbit_linf=linf, decay=fit
+    return VerificationReport(
+        dhs_residual_inf=res_inf, energy_identity_defect=energy, orbit_linf=linf, decay=fit,
+        window_stability_inf=drift, checks=checks, passed=all(checks.values()),
     )
-    if ctx_builder is not None and solve_opts is not None:
-        drift = window_stability(ctx_builder, x, solve_opts)
-        report.window_stability_inf = drift
-        checks["window_stability"] = drift <= WINDOW_DRIFT_TOL
-    report.checks = checks
-    report.passed = all(checks.values())
-    return report

@@ -20,7 +20,7 @@ from dhlattice.cli import (
     load_config,
     main,
 )
-from dhlattice.core import Window
+from dhlattice.core import ConfigurationError, Window
 from dhlattice.solver import SolveOptions
 from helpers import reject_constant
 
@@ -92,6 +92,12 @@ class TestConfigParsing:
         code, report = run_cli(capsys, "check", "--config", str(path))
         assert code == EXIT_CONFIG_ERROR
         assert "nonlinearity.family" in report["error"]
+
+    @pytest.mark.parametrize("section", ["nonlinearity", "window", "solver"])
+    def test_null_section_is_malformed_not_absent(self, section):
+        raw = json.loads(builtin_config_path("model").read_text())
+        with pytest.raises(ConfigurationError, match=f"^{section} must be a JSON object"):
+            ProblemConfig.from_dict({**raw, section: None})
 
     def test_empty_window_and_solver_take_their_field_defaults(self):
         raw = json.loads(builtin_config_path("model").read_text())
@@ -595,6 +601,18 @@ ONE_VERDICT_CHANGES = {
     "boundary-periodic": ("window", "boundary", "periodic"),
     "window-misspelt-key": (None, "window", {"halfwidth": 8}),
     "nonlinearity-empty": (None, "nonlinearity", {}),
+    "nonlinearity-null": (None, "nonlinearity", None),
+    "window-null": (None, "window", None),
+    "solver-null": (None, "solver", None),
+    "matrix-entry-bool": (None, "matrices", [[True, -1.0, -1.0, 0.0]]),
+    "matrix-entry-text": (None, "matrices", [["0", -1.0, -1.0, 0.0]]),
+    "nu-bool": ("nonlinearity", "nu", True),
+    "strength-bool": (None, "nonlinearity", {"family": "quadratic", "strength": True}),
+    "start-amplitude-text": ("solver", "starts", [{"kind": "gaussian", "amplitude": "2"}]),
+    "start-amplitude-bool": ("solver", "starts", [{"kind": "gaussian", "amplitude": True}]),
+    "start-width-text": ("solver", "starts", [{"kind": "gaussian", "width": "2"}]),
+    "start-width-null": ("solver", "starts", [{"kind": "gaussian", "width": None}]),
+    "start-unknown-field": ("solver", "starts", [{"kind": "gaussian", "amplitud": 5}]),
 }
 MALFORMED_INPUTS += [
     _case(f"{name}-{command}", command, change)
@@ -661,6 +679,25 @@ class TestMalformedInput:
         assert set(report) == {"error"}
         assert (extra or [command])[0] in report["error"]
         assert captured.err == ""
+
+    def test_removed_fields_exit_two_naming_the_field(self, capsys, tmp_path):
+        # the tolerances and the node-count override are not config fields
+        for section, key, value in [
+            ("solver", "grad_tol", 1e-10),
+            ("solver", "trivial_tol", 1e-6),
+            ("window", "num_nodes", 17),
+        ]:
+            raw = json.loads(builtin_config_path("model").read_text())
+            raw[section][key] = value
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(raw))
+            for command in ("check", "spectrum", "solve", "verify"):
+                argv = command_argv(command, config, tmp_path)
+                code = main(argv)
+                captured = capsys.readouterr()
+                assert code == EXIT_CONFIG_ERROR, (key, command)
+                error = json.loads(captured.out)["error"]
+                assert f"unknown {section} fields" in error and key in error, (key, command)
 
     def test_deeply_nested_config_exits_two(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

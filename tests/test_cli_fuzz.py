@@ -27,13 +27,10 @@ FIELDS = [
     ("nonlinearity", "nu"),
     ("window",),
     ("window", "half_width"),
-    ("window", "num_nodes"),
     ("window", "boundary"),
     ("solver",),
     ("solver", "seed"),
     ("solver", "max_iter"),
-    ("solver", "grad_tol"),
-    ("solver", "trivial_tol"),
     ("solver", "starts"),
     ("solver", "starts", 0),
     ("solver", "starts", 0, "kind"),

@@ -15,6 +15,7 @@ from dhlattice import (
     reembed,
     shift,
 )
+from dhlattice.core import require_real
 from helpers import model_coefficients, random_block_vector
 
 TOL = 1e-12
@@ -245,3 +246,16 @@ class TestPeriodicCoefficients:
         coeffs = model_coefficients()
         with pytest.raises(ValueError):
             coeffs.matrices[0, 0, 0] = 5.0
+
+
+class TestRequireReal:
+    @pytest.mark.parametrize("value", [2, 2.5, np.float64(-1.5), np.int64(3), float("nan")])
+    def test_real_numbers_become_floats(self, value):
+        got = require_real("x", value)
+        assert type(got) is float
+        assert got == float(value) or (np.isnan(got) and np.isnan(value))
+
+    @pytest.mark.parametrize("value", [True, False, "2", None, [2.0], 10**400])
+    def test_bools_strings_and_huge_ints_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="^x "):
+            require_real("x", value)

@@ -168,6 +168,14 @@ class TestNonFiniteParameters:
         with pytest.raises(ValueError, match="finite"):
             factory(bad)
 
+    @pytest.mark.parametrize(
+        "factory", [family_radial_rational, family_log_saturating, family_quadratic]
+    )
+    @pytest.mark.parametrize("bad", [True, "4", None])
+    def test_families_reject_non_numbers(self, factory, bad):
+        with pytest.raises(ValueError, match="must be a number"):
+            factory(bad)
+
     def test_quadratic_accepts_zero(self):
         assert family_quadratic(0.0).lambda_infinity == 0.0
 

@@ -5,6 +5,7 @@ from dhlattice import (
     BlockVector,
     FunctionalContext,
     SolveOptions,
+    StartStrategy,
     Window,
     assemble,
     decay_fit,
@@ -30,10 +31,20 @@ def model_ctx(half_width=32):
     )
 
 
+def verify_on(ctx, x):
+    """Every orbit check of x, the window-doubling re-solve on ctx's data."""
+    return verify_orbit(
+        ctx,
+        x,
+        ctx_builder=lambda w: FunctionalContext(assemble(w, ctx.op.coeffs), ctx.nl),
+        solve_opts=SolveOptions(starts=()),
+    )
+
+
 @pytest.fixture(scope="module")
 def model_orbit():
     ctx = model_ctx(64)
-    x0 = initial_guess("gaussian", ctx, 1.0, width=2.0)
+    x0 = initial_guess(StartStrategy("gaussian", 1.0, width=2.0), ctx, 1.0)
     result = newton_solve(ctx, x0, SolveOptions(), start_tag="g")
     assert result.success
     return ctx, result.orbit
@@ -83,7 +94,7 @@ class TestResidualDHS:
             residual_DHS(coeffs, family_radial_rational(4.0), x)
         ctx = FunctionalContext(assemble(Window.periodic(8), coeffs), family_radial_rational(4.0))
         with pytest.raises(ValueError):
-            verify_orbit(ctx, x)
+            verify_on(ctx, x)
 
 
 class TestDecayFit:
@@ -200,19 +211,26 @@ class TestVerifyOrbit:
         node_norms = np.linalg.norm(res, axis=1)
         hot = {int(n) for n, v in zip(orbit.window.nodes, node_norms) if v > 1e-3}
         assert hot and hot.issubset({-1, 0, 1})
-        report = verify_orbit(ctx, bad)
+        report = verify_on(ctx, bad)
         assert not report.passed
         assert not report.checks["residual"]
 
     def test_zero_orbit_fails_nontriviality(self):
         ctx = model_ctx(8)
-        report = verify_orbit(ctx, BlockVector.zeros(ctx.window, 1))
+        report = verify_on(ctx, BlockVector.zeros(ctx.window, 1))
         assert not report.passed
         assert not report.checks["nontrivial"]
+        # the re-solve from zero converges to the trivial root, which fails too
+        assert report.window_stability_inf == float("inf")
+        assert not report.checks["window_stability"]
 
     def test_report_serializable(self, model_orbit):
         import json
 
         ctx, orbit = model_orbit
-        report = verify_orbit(ctx, orbit)
+        report = verify_on(ctx, orbit)
+        assert report.passed
+        assert set(report.checks) == {
+            "residual", "energy_identity", "nontrivial", "decay", "window_stability"
+        }
         json.dumps(report.to_dict())
