@@ -61,6 +61,7 @@ from .core import (
     HypothesisViolationError,
     PeriodicCoefficients,
     Window,
+    json_text,
     require_int,
     require_real,
 )
@@ -100,16 +101,17 @@ def _section(name: str, value) -> dict:
     """A copy of a config sub-object; a given section, even an empty one, is
     validated as it stands, and null is not a section."""
     if not isinstance(value, dict):
-        raise ConfigurationError(f"{name} must be a JSON object, got {value!r}")
+        raise ConfigurationError(f"{name} must be a JSON object, got {json_text(value)}")
     return dict(value)
 
 
 def _nonlinearity(block_dim: int, params: dict) -> Nonlinearity:
     """The nonlinearity that a ``nonlinearity`` section names (consumes ``params``)."""
+    got = f"got {json_text(params['family'])}" if "family" in params else "it is missing"
     family = params.pop("family", None)
     if not isinstance(family, str) or family not in FAMILIES:
         raise ConfigurationError(
-            f"nonlinearity.family must be one of {sorted(FAMILIES)}, got {family!r}"
+            f"nonlinearity.family must be one of {json_text(sorted(FAMILIES))}, {got}"
         )
     try:
         return FAMILIES[family](block_dim=block_dim, **params)
@@ -134,7 +136,7 @@ def _solve_options(raw: dict) -> SolveOptions:
         if unknown:
             raise ConfigurationError(f"unknown solver.starts[{i}] fields: {sorted(unknown)}")
         if "width" in s and s["width"] is None:  # StartStrategy reads None as absent
-            raise ConfigurationError(f"solver.starts[{i}].width must be a number, got None")
+            raise ConfigurationError(f"solver.starts[{i}].width must be a number, got null")
     try:
         if starts_raw is None:
             starts = default_starts()
@@ -186,7 +188,7 @@ class ProblemConfig:
             raise ConfigurationError(f"unknown window fields: {sorted(unknown)}")
         if window.get("boundary", Boundary.ZERO_PAD) != Boundary.ZERO_PAD:
             raise ConfigurationError(
-                f"window.boundary must be zero_pad, got {window['boundary']!r}"
+                f'window.boundary must be "zero_pad", got {json_text(window["boundary"])}'
             )
         self._window = Window.zero_pad(window.get("half_width", _DEFAULT_WINDOW["half_width"]))
         self._nonlinearity = _nonlinearity(self.block_dim, _section("nonlinearity", nonlinearity))

@@ -16,6 +16,7 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import enum
+import json
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional
@@ -37,10 +38,19 @@ class HypothesisViolationError(ValueError):
     """Coefficient data fails the positivity hypothesis (R0)."""
 
 
+def json_text(value) -> str:
+    """``value`` spelt as JSON input spells it (null, true, "2"), or its repr
+    when it is not a JSON value."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError, RecursionError):
+        return repr(value)
+
+
 def require_int(name: str, value, minimum: int) -> int:
     """``value`` as an int if it is an integer (not a bool or a float) >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        raise ConfigurationError(f"{name} must be an integer, got {json_text(value)}")
     if value < minimum:
         raise ConfigurationError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
@@ -50,7 +60,7 @@ def require_real(name: str, value) -> float:
     """``value`` as a float if it is a real number (not a bool or a string)
     within the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+        raise ConfigurationError(f"{name} must be a number, got {json_text(value)}")
     try:
         return float(value)
     except OverflowError as exc:  # an int beyond the float range

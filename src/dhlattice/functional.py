@@ -31,12 +31,15 @@ and apply_S.  The arithmetic is theirs, operation for operation, so the rows
 equal apply_A(x) + apply_S(x) exactly; a banded matvec on the assembled
 operator would round differently and move the Newton iterates.
 
-``gradient_stack`` takes grad Phi at m points at once, an (m, K, 2N) stack:
-the Newton line search evaluates a batch of trial step lengths with one
-call.  Its rows go through the same einsum and nonlinearity kernels as one
-point's rows, so each point's gradient equals ``gradient_entries`` on that
-point bit for bit; ``gradient_entries`` is the stack of one point.  The
-window's [K] node labels broadcast over the stack in the nonlinearity call.
+``gradient_stack`` takes grad Phi at m points at once, an (m, K, 2N) stack,
+or on a slab of L consecutive window nodes, an (m, L, 2N) stack: the Newton
+line search screens its trial step lengths on a slab around the orbit's core
+with one call.  Its rows go through the same einsum and nonlinearity kernels
+as one point's rows, so each point's gradient equals ``gradient_entries`` on
+that point bit for bit, on a slab every row but an edge row inside the
+window, whose outer neighbour reads as zero; ``gradient_entries`` is the
+stack of one point on the whole window.  The slab's node labels broadcast
+over the stack in the nonlinearity call.
 The per-node coefficient matrices are tiled instead: ``einsum`` on the
 (m K, 2N) rows with a tiled (m K, 2N, 2N) operand is several times faster
 than the same product broadcasting over the stack axis, and gives the same
@@ -52,6 +55,7 @@ import numpy as np
 
 from .core import (
     BlockVector,
+    Boundary,
     ConfigurationError,
     DimensionMismatchError,
     SpectralGapError,
@@ -107,36 +111,50 @@ class FunctionalContext:
         if x.window != self.op.window or x.block_dim != self.op.block_dim:
             raise DimensionMismatchError("vector does not match the context's window")
 
-    def _linear_rows(self, z: np.ndarray) -> np.ndarray:
-        """Rows of (A+S)x on raw (..., K, 2N) entries, equal to apply_A + apply_S.
+    def _linear_rows(self, z: np.ndarray, start: int = 0) -> np.ndarray:
+        """Rows of (A+S)x on raw (..., L, 2N) entries of the L nodes from window
+        row ``start`` on, equal to apply_A + apply_S on the whole window.
 
-        A stack of points goes through one einsum on its (m K, 2N) rows with
-        the node matrices tiled, the same kernel that one point's K rows go
-        through, so each row rounds exactly as it would alone.
+        A slab of fewer than K nodes reads its outer neighbours as zero, so its
+        edge rows are exact only where they are the window's own edges; the
+        whole window (start 0, L = K) keeps its boundary rule.  A stack of
+        points goes through one einsum on its (m L, 2N) rows with the node
+        matrices tiled, the same kernel that one point's rows go through, so
+        each row rounds exactly as it would alone.
         """
         count, n2 = z.shape[-2:]
         reps = z.size // (count * n2)
-        mats = self._node_matrices if reps == 1 else np.tile(self._node_matrices, (reps, 1, 1))
-        out = _difference_rows(z, self.op.block_dim, self.window.boundary)
+        node_mats = self._node_matrices[start : start + count]
+        mats = node_mats if reps == 1 else np.tile(node_mats, (reps, 1, 1))
+        boundary = self.window.boundary if count == self.window.num_nodes else Boundary.ZERO_PAD
+        out = _difference_rows(z, self.op.block_dim, boundary)
         out -= np.einsum("kij,kj->ki", mats, z.reshape(-1, n2)).reshape(out.shape)
         return out
 
-    def gradient_stack(self, z: np.ndarray) -> np.ndarray:
-        """Rows of grad Phi at each point of a (m, K, 2N) stack of raw entries.
+    def gradient_stack(self, z: np.ndarray, start: int = 0) -> np.ndarray:
+        """Rows of grad Phi at each point of a (m, L, 2N) stack of raw entries
+        on the L nodes from window row ``start`` on (by default the window).
 
-        Each point's rows equal ``gradient_entries`` on that point bit for bit:
-        the stack makes one gradient call, the [K] node labels broadcasting
+        Each point's rows equal ``gradient_entries`` on that point bit for bit,
+        except a slab's edge rows inside the window (``_linear_rows``): the
+        stack makes one gradient call, the slab's node labels broadcasting
         over the points.  Stacks larger than STACK_CHUNK_BYTES of tiled node
-        matrices (``_linear_rows``) are taken in chunks of points, at least
-        one per chunk, each chunk one gradient call.
+        matrices are taken in chunks of points, at least one per chunk, each
+        chunk one gradient call.
         """
         m, count, n2 = z.shape
+        if not 0 <= start <= self.window.num_nodes - count:
+            raise DimensionMismatchError(
+                f"rows {start}..{start + count - 1} are not in the window's "
+                f"{self.window.num_nodes} nodes"
+            )
         chunk = max(1, STACK_CHUNK_BYTES // (8 * count * n2 * n2))
         if m > chunk:
             return np.concatenate(
-                [self.gradient_stack(z[start : start + chunk]) for start in range(0, m, chunk)]
+                [self.gradient_stack(z[i : i + chunk], start) for i in range(0, m, chunk)]
             )
-        return self._linear_rows(z) - np.asarray(self.nl.gradient(self._nodes, z), dtype=float)
+        nodes = self._nodes[start : start + count]
+        return self._linear_rows(z, start) - np.asarray(self.nl.gradient(nodes, z), dtype=float)
 
     def gradient_entries(self, x: BlockVector) -> np.ndarray:
         """Per-node rows of grad Phi(x), with one gradient call for the window."""

@@ -21,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from dhlattice import (
     BlockVector,
+    DimensionMismatchError,
     FunctionalContext,
     Phi,
     Psi,
@@ -40,7 +41,12 @@ from dhlattice import (
 )
 from dhlattice.functional import tildeR_sum
 from dhlattice.solver import _jacobian, _node_hessians
-from helpers import model_coefficients, n2_coefficients, period2_coefficients
+from helpers import (
+    model_coefficients,
+    n2_coefficients,
+    period2_coefficients,
+    random_coefficients,
+)
 
 BOUNDED = settings(max_examples=60, deadline=None, database=None)
 
@@ -200,6 +206,50 @@ def test_stack_gradient_equals_per_point_gradients(case, chunked):
     for i, point in enumerate(z):
         x = BlockVector(ctx.window, ctx.op.block_dim, point)
         assert np.array_equal(stacked[i], ctx.gradient_entries(x)), i
+
+
+@st.composite
+def slab_stacks(draw):
+    """(context, (m, K, 2N) stack, slab rows a..b-1) on a zero-pad window, N = 1-3;
+    the slab touches the window's first or last row in many draws."""
+    name = draw(st.sampled_from(sorted(NONLINEARITIES)))
+    if name == "manufactured":
+        bd = draw(st.sampled_from([1, 2]))
+        ctx = MANUFACTURED[bd].ctx
+    else:
+        bd = draw(st.integers(1, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        coeffs = random_coefficients(bd, draw(st.integers(1, 3)), rng)
+        window = Window.zero_pad(draw(st.integers(0, 12)))
+        ctx = FunctionalContext(assemble(window, coeffs), NONLINEARITIES[name](bd))
+    count = ctx.window.num_nodes
+    a = draw(st.just(0) | st.integers(0, count - 1))
+    b = draw(st.just(count) | st.integers(a + 1, count))
+    m = draw(st.integers(1, 4))
+    z = draw(arrays(float, (m, count, 2 * bd), elements=entries))
+    return ctx, z, a, b
+
+
+@seed(20141408)
+@BOUNDED
+@given(case=slab_stacks())
+def test_slab_rows_equal_window_rows(case):
+    # a slab's rows are the window's, bit for bit, but for an edge row inside
+    # the window, whose outer neighbour the slab reads as zero
+    ctx, z, a, b = case
+    slab = ctx.gradient_stack(np.ascontiguousarray(z[:, a:b]), start=a)
+    full = ctx.gradient_stack(z)
+    lo = a + 1 if a > 0 else a
+    hi = b - 1 if b < ctx.window.num_nodes else b
+    assert np.array_equal(slab[:, lo - a : hi - a], full[:, lo:hi])
+
+
+def test_slab_outside_the_window_rejected():
+    ctx = MANUFACTURED[1].ctx
+    z = np.zeros((1, 3, 2))
+    for start in (-1, ctx.window.num_nodes - 2):
+        with pytest.raises(DimensionMismatchError):
+            ctx.gradient_stack(z, start=start)
 
 
 def test_banded_and_dense_jacobians_agree():

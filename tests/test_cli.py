@@ -559,20 +559,24 @@ class TestDeterminism:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def _case(case_id, command, change=None, flags=(), orbit_cell=None):
-    """One malformed input: a model.json field change, extra flags, or an orbit CSV edit."""
-    return pytest.param(command, change, list(flags), orbit_cell, id=case_id)
+def _case(case_id, command, change=None, flags=(), orbit_cell=None, text=None):
+    """One malformed input: a model.json field change, extra flags, or an orbit
+    CSV edit, with ``text`` the error message must contain (when given)."""
+    return pytest.param(command, change, list(flags), orbit_cell, text, id=case_id)
 
 
 MALFORMED_INPUTS = [
-    _case("half_width-text-solve", "solve", ("window", "half_width", "abc")),
+    _case("half_width-text-solve", "solve", ("window", "half_width", "abc"), text='got "abc"'),
     _case("half_width-text-spectrum", "spectrum", ("window", "half_width", "abc")),
-    _case("half_width-list-solve", "solve", ("window", "half_width", [1])),
+    _case("half_width-list-solve", "solve", ("window", "half_width", [1]), text="got [1]"),
     _case("half_width-list-spectrum", "spectrum", ("window", "half_width", [1])),
-    _case("half_width-inf-spectrum", "spectrum", ("window", "half_width", float("inf"))),
+    _case(
+        "half_width-inf-spectrum", "spectrum", ("window", "half_width", float("inf")),
+        text="got Infinity",
+    ),
     _case("num_nodes-text-solve", "solve", ("window", "num_nodes", "x")),
     _case("seed-negative-solve", "solve", ("solver", "seed", -1)),
-    _case("seed-float-solve", "solve", ("solver", "seed", 1.5)),
+    _case("seed-float-solve", "solve", ("solver", "seed", 1.5), text="got 1.5"),
     _case("max_iter-float-solve", "solve", ("solver", "max_iter", 2.5)),
     _case("max_iter-inf-solve", "solve", ("solver", "max_iter", float("inf"))),
     _case("grad_tol-nan-solve", "solve", ("solver", "grad_tol", float("nan"))),
@@ -614,17 +618,35 @@ ONE_VERDICT_CHANGES = {
     "start-width-null": ("solver", "starts", [{"kind": "gaussian", "width": None}]),
     "start-unknown-field": ("solver", "starts", [{"kind": "gaussian", "amplitud": 5}]),
 }
+# the offending value as the config spells it in JSON, not as Python would
+ONE_VERDICT_TEXT = {
+    "max_iter-text": 'max_iter must be an integer, got "x"',
+    "start-kind-unknown": 'got "nope"',
+    "boundary-periodic": 'got "periodic"',
+    "nonlinearity-empty": "nonlinearity.family must be one of",
+    "nonlinearity-null": "nonlinearity must be a JSON object, got null",
+    "window-null": "window must be a JSON object, got null",
+    "solver-null": "solver must be a JSON object, got null",
+    "matrix-entry-bool": "entry must be a number, got true",
+    "matrix-entry-text": 'entry must be a number, got "0"',
+    "nu-bool": "nu must be a number, got true",
+    "strength-bool": "strength must be a number, got true",
+    "start-amplitude-text": 'amplitude must be a number, got "2"',
+    "start-amplitude-bool": "amplitude must be a number, got true",
+    "start-width-text": 'width must be a number, got "2"',
+    "start-width-null": "width must be a number, got null",
+}
 MALFORMED_INPUTS += [
-    _case(f"{name}-{command}", command, change)
+    _case(f"{name}-{command}", command, change, text=ONE_VERDICT_TEXT.get(name))
     for name, change in ONE_VERDICT_CHANGES.items()
     for command in ("check", "spectrum", "solve", "verify")
 ]
 
 
 class TestMalformedInput:
-    @pytest.mark.parametrize("command, change, flags, orbit_cell", MALFORMED_INPUTS)
+    @pytest.mark.parametrize("command, change, flags, orbit_cell, text", MALFORMED_INPUTS)
     def test_exits_two_with_one_json_error(
-        self, capsys, tmp_path, command, change, flags, orbit_cell
+        self, capsys, tmp_path, command, change, flags, orbit_cell, text
     ):
         raw = json.loads(builtin_config_path("model").read_text())
         raw["window"]["half_width"] = 8
@@ -640,13 +662,15 @@ class TestMalformedInput:
         if command == "verify":
             rows = [["n", "x1_1", "x2_1"]] + [[str(n), "0", "0"] for n in range(-8, 9)]
             if orbit_cell is not None:
-                row, col, text = orbit_cell
-                rows[row][col] = text
+                row, col, cell = orbit_cell
+                rows[row][col] = cell
             (tmp_path / "orbit.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
         code = main(argv)
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG_ERROR
-        assert set(json.loads(captured.out)) == {"error"}
+        report = json.loads(captured.out)
+        assert set(report) == {"error"}
+        assert text is None or text in report["error"], report["error"]
         assert captured.err == ""
 
     @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from dhlattice import (
     reembed,
     shift,
 )
-from dhlattice.core import require_real
+from dhlattice.core import json_text, require_real
 from helpers import model_coefficients, random_block_vector
 
 TOL = 1e-12
@@ -259,3 +259,12 @@ class TestRequireReal:
     def test_bools_strings_and_huge_ints_rejected(self, value):
         with pytest.raises(ConfigurationError, match="^x "):
             require_real("x", value)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(None, "null"), (True, "true"), ("2", '"2"'), ([1.5, None], "[1.5, null]"),
+     (float("inf"), "Infinity"), (np.int64(3), "np.int64(3)"), ({1j}, "{1j}")],
+)
+def test_json_text_spells_json_and_falls_back_to_repr(value, text):
+    assert json_text(value) == text

@@ -32,11 +32,15 @@ from dhlattice.cli import builtin_config_path, load_config
 from dhlattice.operators import banded_matvec, sturm_count
 from dhlattice.solver import (
     ARMIJO,
+    BACKTRACK_TRIALS,
+    CORE_HALF_WIDTH,
     DUPLICATE_TOL,
     GRAD_TOL,
     POLISH_FLOOR,
+    RESCUE_TRIALS,
     STAGNATION_RATIO,
     STAGNATION_WINDOW,
+    _general_band,
     _jacobian,
     _node_hessians,
     _same_orbit,
@@ -375,6 +379,35 @@ class TestStopReason:
         assert np.isfinite(result.orbit.entries).all()
         np.testing.assert_array_equal(result.orbit.entries, x0.entries)
 
+    @pytest.mark.parametrize("scale", [0.0, 0.01])
+    def test_overflowing_trials_match_sequential(self, scale):
+        # nu = 1e160 with the Newton matrix's Hessian blocks scaled down, so
+        # the full step overshoots the bump: the t = 1 trial's core gradient
+        # overflows although the start's is finite.  Without the Hessian
+        # (scale 0) no Armijo trial passes and the rescue runs all its trials;
+        # with 1 % of it a shorter step passes after the overflowing ones
+        base = family_radial_rational(1e160)
+        nl = dataclasses.replace(base, hessian=lambda n, z: scale * base.hessian(n, z))
+        ctx = FunctionalContext(assemble(Window.zero_pad(12), model_coefficients()), nl)
+        x0 = bump_start(ctx, 1e-3)
+        g = ctx.gradient_entries(x0)
+        assert np.isfinite(np.vdot(g, g))
+        jac = _jacobian(ctx.op, _node_hessians(ctx, x0))
+        delta = _solve_linear(_general_band(jac), -g.reshape(-1))
+        peak = int(np.argmax(np.abs(x0.entries).max(axis=1)))
+        core = slice(peak - CORE_HALF_WIDTH, peak + CORE_HALF_WIDTH + 1)
+        with np.errstate(all="ignore"):
+            trial = x0.with_entries(x0.entries + delta.reshape(g.shape))
+            g_trial = ctx.gradient_entries(trial)[core]
+            assert not np.isfinite(np.vdot(g_trial, g_trial))
+            result = assert_matches_sequential(ctx, x0, SolveOptions(max_iter=30))
+        diag = result.diagnostics
+        if scale == 0.0:
+            assert diag["stop_reason"] == "line_search_failed"
+            assert diag["gradient_evaluations"] == 1 + BACKTRACK_TRIALS + RESCUE_TRIALS
+        else:
+            assert diag["residual_history"][1] < diag["residual_history"][0]
+
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @given(
         block_dim=st.sampled_from([1, 2]),
@@ -428,7 +461,7 @@ def sequential_newton(ctx, x0, opts):
             break
         bv = BlockVector(ctx.window, ctx.op.block_dim, x)
         jac = _jacobian(ctx.op, _node_hessians(ctx, bv))
-        delta = _solve_linear(jac, -g.reshape(-1))
+        delta = _solve_linear(_general_band(jac), -g.reshape(-1))
         g_sq = float(np.vdot(g, g))
         accepted = False
         if delta is not None:
