@@ -19,10 +19,15 @@ its scalar half-bandwidth is 2N - 1 (tridiagonal for N = 1), and it is
 stored in LAPACK lower-banded form with 2N rows.  A periodic matrix is dense,
 because the wrap-around couplings fill its corners.  Periodic windows serve
 spectral certification only; the orbit search runs on zero-pad windows.  The
-periodic crosscheck of ``spectrum`` does not assemble its window: it reorders
-the ring's L = 2NK scalar unknowns as 0, L-1, 1, L-2, ..., which brings every
-coupling, the wrap-around one included, within a scalar half-bandwidth of
-4N - 2, and takes the eigenvalues from that folded band storage.
+periodic crosscheck of ``spectrum`` does not assemble its window; both of
+its builders read the ring's entry list from ``_ring_entries``.  When
+P S(-n mod T) P == S(n) exactly, P the swap of x1 and x2, the ring commutes
+with the site reflection x(n) -> P x(-n) and splits into a reflection-even
+and a reflection-odd block, each written straight into band storage with
+L/2 = NK columns and half-bandwidth 2N - 1.  Other coefficients take the
+ring's L = 2NK scalar unknowns reordered as 0, L-1, 1, L-2, ..., which brings
+every coupling, the wrap-around one included, within a scalar half-bandwidth
+of 4N - 2.
 
 One builder makes every dense matrix: the nodes closed into a ring, with
 the wrap-around coupling weighted by a phase.  Phase 1 on the window's nodes
@@ -149,34 +154,97 @@ def _assemble_banded(window: Window, coeffs: PeriodicCoefficients) -> np.ndarray
     return bands
 
 
-def _folded_ring_bands(coeffs: PeriodicCoefficients, count: int) -> np.ndarray:
-    """Lower-banded storage of the periodic ring on nodes 0..count-1, with its
-    scalar unknowns ordered 0, L-1, 1, L-2, 2, ...: bands[k, j] = P[j + k, j].
+def _ring_entries(coeffs: PeriodicCoefficients, count: int) -> tuple[np.ndarray, ...]:
+    """(rows, cols, vals) of the periodic ring on nodes 0..count-1, its
+    L = 2N count scalar unknowns numbered node-major.
 
-    P is ``_ring_matrix(coeffs, arange(count), 1.0)`` under a symmetric
-    permutation, so it has the ring's eigenvalues.  The ring's L = 2N count
-    unknowns are numbered node-major; unknown s sits at position 2s (ascending
-    half) or 2(L-1-s)+1 (descending half).  Every ring coupling, the
-    wrap-around one included, joins unknowns at most 2N - 1 apart around the
-    ring, so positions at most 4N - 2 apart: 4N - 1 band rows, or 2N on one
-    node.  One scatter writes the lower triangle of each diagonal block and
-    the -1 from node m's z1 rows to node m-1's x2 columns; on one node that
-    coupling lands in the diagonal block and adds to it.
+    The ring matrix is the sum over entries of v (E[r, c] + E[c, r]), or
+    v E[r, r] on the diagonal: each diagonal block's lower triangle, and the
+    -1 from node m's z1 rows to node m-1's x2 columns, the wrap-around one
+    included.  On one node that coupling lands in the diagonal block and adds
+    to it.
     """
     diags, c_low = _node_blocks(coeffs, np.arange(count))
     n2 = diags.shape[1]
-    size = count * n2
     b, a = np.tril_indices(n2)
     cb, ca = np.nonzero(c_low)
     first = np.arange(count)[:, None] * n2
     rows = np.concatenate([(first + b).ravel(), (first + cb).ravel()])
     cols = np.concatenate([(first + a).ravel(), (np.roll(first, 1, axis=0) + ca).ravel()])
     vals = np.concatenate([diags[:, b, a].ravel(), np.tile(c_low[cb, ca], count)])
+    return rows, cols, vals
+
+
+def _folded_ring_bands(coeffs: PeriodicCoefficients, count: int) -> np.ndarray:
+    """Lower-banded storage of the periodic ring on nodes 0..count-1, with its
+    scalar unknowns ordered 0, L-1, 1, L-2, 2, ...: bands[k, j] = P[j + k, j].
+
+    P is ``_ring_matrix(coeffs, arange(count), 1.0)`` under a symmetric
+    permutation, so it has the ring's eigenvalues.  Unknown s sits at position
+    2s (ascending half) or 2(L-1-s)+1 (descending half).  Every ring
+    coupling, the wrap-around one included, joins unknowns at most 2N - 1
+    apart around the ring, so positions at most 4N - 2 apart: 4N - 1 band
+    rows, or 2N on one node.
+    """
+    rows, cols, vals = _ring_entries(coeffs, count)
+    size = count * 2 * coeffs.block_dim
     unknowns = np.arange(size)
     pos = np.minimum(2 * unknowns, 2 * (size - 1 - unknowns) + 1)
-    bands = np.zeros((min(2 * n2 - 1, size), size))
+    bands = np.zeros((min(4 * coeffs.block_dim - 1, size), size))
     np.add.at(bands, (np.abs(pos[rows] - pos[cols]), np.minimum(pos[rows], pos[cols])), vals)
     return bands
+
+
+def _reflection_symmetric(coeffs: PeriodicCoefficients) -> bool:
+    """Whether P S(-n mod T) P == S(n) exactly for every n, P the swap of x1
+    and x2: then A + S commutes with the site reflection x(n) -> P x(-n)."""
+    n = coeffs.block_dim
+    swap = np.roll(np.arange(2 * n), n)
+    mats = coeffs.matrices
+    mirrored = mats[-np.arange(coeffs.period) % coeffs.period][:, swap][:, :, swap]
+    return bool(np.array_equal(mirrored, mats))
+
+
+def _reflected_ring_bands(coeffs: PeriodicCoefficients, count: int) -> tuple[np.ndarray, ...]:
+    """Lower-banded storage of the periodic ring's reflection-even and
+    reflection-odd blocks, for coefficients that pass ``_reflection_symmetric``.
+
+    The reflection R maps scalar unknown (n, c) to (-n mod count, c +- N).  It
+    fixes no unknown, since it swaps x1 and x2 even on the fixed nodes 0 and
+    count/2, so it pairs the L = 2N count unknowns; each block keeps the
+    smaller unknown a of each pair {a, R a}, in node-major order, and its
+    entry is H[a, b] + sigma H[a, R b], sigma = 1 for the even block and -1
+    for the odd one: H in the basis (e_a + sigma e_Ra) / sqrt(2).  The kept
+    unknowns are node 0's x1, every unknown of nodes 1..(count-1)//2, and
+    node count/2's x1 on an even count.  The wrap-around coupling of node 0
+    becomes one to node 1 and the middle nodes couple to their own mirrors,
+    so each block has L/2 columns and half-bandwidth 2N - 1, against the
+    folded ring's L columns and 4N - 2.
+    """
+    rows, cols, vals = _ring_entries(coeffs, count)
+    n = coeffs.block_dim
+    size = count * 2 * n
+    node, comp = np.divmod(np.arange(size), 2 * n)
+    mirror = (-node % count) * 2 * n + (comp + n) % (2 * n)
+    kept = np.arange(size) < mirror
+    pos = np.cumsum(kept) - 1
+    # every entry of H in both orientations, the diagonal once
+    off = rows != cols
+    left = np.concatenate([rows, cols[off]])
+    right = np.concatenate([cols, rows[off]])
+    vals = np.concatenate([vals, vals[off]])
+    # H[a, b'] lands in column b = min(b', R b'), times sigma when b' = R b;
+    # only kept rows a and the lower triangle are stored
+    i, j = pos[left], pos[np.minimum(right, mirror[right])]
+    on = kept[left] & (i >= j)
+    index = (i[on] - j[on], j[on])
+    mirrored, vals = ~kept[right[on]], vals[on]
+    blocks = []
+    for sign in (1.0, -1.0):
+        bands = np.zeros((min(2 * n, size // 2), size // 2))
+        np.add.at(bands, index, np.where(mirrored, sign * vals, vals))
+        blocks.append(bands)
+    return tuple(blocks)
 
 
 def banded_matvec(bands: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ per solve, and each step copies it and subtracts the Hessian blocks in place.
 
 Both searches try step lengths t, t/2, t/4, ... (41 Armijo trials from t = 1,
 60 rescue trials from the Cauchy step) and take the first that passes.  The
-first trial is evaluated alone on the whole window, since most steps take it.
+first trial is evaluated alone on the whole window; on the shipped configs
+66 of the 243 Newton steps (27 %) take t = 1 and the other 177 reject it.
 After a rejection the remaining trials are screened on the iterate's core,
 the rows within CORE_HALF_WIDTH nodes of the row holding its largest entry:
 one slab stack gradient (``FunctionalContext.gradient_stack``) gives the core

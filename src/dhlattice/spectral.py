@@ -8,8 +8,13 @@ certified free of eigenvalues.  Zero-pad truncation can create
 boundary-localized modes inside the gap; those are truncation artifacts, not
 spectrum.  The band structure takes batched eigenvalue calls on Bloch symbol
 stacks of at most SYMBOL_CHUNK_BYTES each, so memory does not grow with the
-grid.  The periodic crosscheck compares a periodic window's eigenvalues, taken
-from the folded ring's band storage, with the union of symbol samples.
+grid.  On the uniform grid theta_j = 2 pi j / G only rows j = 0..G/2 are
+solved: real coefficients make M(-theta) = conj M(theta), so row G - j is a
+copy of row j.  The periodic crosscheck compares a periodic window's
+eigenvalues with the union of symbol samples on such a grid.  The window's
+eigenvalues come from band storage: from the reflection-even and -odd blocks
+when the coefficients are invariant under the site reflection, else from the
+folded ring.
 """
 
 from __future__ import annotations
@@ -19,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError, PeriodicCoefficients, Window
-from .operators import TruncatedOperator, _folded_ring_bands, floquet_symbol
+from .operators import (
+    TruncatedOperator,
+    _folded_ring_bands,
+    _reflected_ring_bands,
+    _reflection_symmetric,
+    floquet_symbol,
+)
 
 SYMBOL_CHUNK_BYTES = 8 * 2**20
 
@@ -86,12 +97,26 @@ def symbol_eigenvalues(thetas: np.ndarray, coeffs: PeriodicCoefficients) -> np.n
     return out
 
 
+def _uniform_grid_eigenvalues(coeffs: PeriodicCoefficients, grid_size: int):
+    """(thetas, eigenvalues) at theta_j = 2 pi j / grid_size, j = 0..grid_size-1.
+
+    Real coefficients make M(-theta) = conj M(theta), so every band is even in
+    theta: rows j = 0..grid_size // 2 are solved and row grid_size - j is a
+    copy of row j.
+    """
+    thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    half = grid_size // 2 + 1
+    out = np.empty((grid_size, 2 * coeffs.block_dim * coeffs.period))
+    out[:half] = symbol_eigenvalues(thetas[:half], coeffs)
+    out[half:] = out[grid_size - half : 0 : -1]
+    return thetas, out
+
+
 def band_structure(coeffs: PeriodicCoefficients, grid_size: int) -> BandStructure:
     """Symbol eigenvalues at theta_j = 2 pi j / grid_size for j = 0..grid_size-1."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    bands = symbol_eigenvalues(thetas, coeffs)
+    thetas, bands = _uniform_grid_eigenvalues(coeffs, grid_size)
     return BandStructure(thetas=thetas, bands=bands)
 
 
@@ -101,15 +126,24 @@ def periodic_crosscheck(coeffs: PeriodicCoefficients, cells: int) -> dict:
 
     The two sets are equal in exact arithmetic; ``max_mismatch`` is the largest
     gap between them after sorting.  The window's K = cells * T nodes are not
-    assembled: the folded ring has half-bandwidth 4N - 2, so its one banded
-    eigensolve takes O(K^2 N^3) time and O(K N^2) memory, where a dense one
-    takes O(K^3 N^3) and O(K^2 N^2).
+    assembled.  On coefficients that pass ``_reflection_symmetric`` its
+    eigenvalues are the sorted union of the reflection-even and -odd blocks:
+    two banded eigensolves of size NK at half-bandwidth 2N - 1.  Other
+    coefficients take the folded ring, one banded eigensolve of size 2NK at
+    half-bandwidth 4N - 2.  Either way the cost is O(K^2 N^3) time and
+    O(K N^2) memory, where a dense eigensolve takes O(K^3 N^3) and
+    O(K^2 N^2); the two half-size solves take about half the folded one's time.
     """
     import scipy.linalg  # deferred: commands without LAPACK, like check, skip its import
     count = cells * coeffs.period
-    window_eigs = scipy.linalg.eigvals_banded(_folded_ring_bands(coeffs, count), lower=True)
-    thetas = 2.0 * np.pi * np.arange(cells) / cells
-    sym_union = np.sort(symbol_eigenvalues(thetas, coeffs), axis=None)
+    if _reflection_symmetric(coeffs):
+        blocks = _reflected_ring_bands(coeffs, count)
+    else:
+        blocks = (_folded_ring_bands(coeffs, count),)
+    window_eigs = np.sort(np.concatenate(
+        [scipy.linalg.eigvals_banded(bands, lower=True) for bands in blocks]
+    ))
+    sym_union = np.sort(_uniform_grid_eigenvalues(coeffs, cells)[1], axis=None)
     return {
         "num_nodes": count,
         "momenta": cells,

@@ -23,6 +23,8 @@ from dhlattice.core import gap_bounds_from_matrices
 from dhlattice.operators import (
     _assemble_banded,
     _folded_ring_bands,
+    _reflected_ring_bands,
+    _reflection_symmetric,
     _node_blocks,
     _ring_matrix,
     sturm_count,
@@ -288,6 +290,41 @@ def test_folded_ring_bands_equal_permuted_ring(coeffs_fn, count):
     for k in range(rows_expected):
         expected[k, : dim - k] = np.diagonal(folded, -k)
     assert np.array_equal(_folded_ring_bands(coeffs, count), expected)
+
+
+
+def random_n2_t2_coefficients():
+    return random_coefficients(2, 2, np.random.default_rng(41))
+
+
+@pytest.mark.parametrize(
+    "coeffs_fn",
+    [model_coefficients, period2_coefficients, n2_coefficients, random_n2_t2_coefficients],
+)
+@pytest.mark.parametrize("cells", [1, 2, 3, 4, 5, 9, 32])
+def test_reflected_ring_bands_equal_dense_blocks(coeffs_fn, cells):
+    # R maps unknown (n, c) to (-n mod count, c +- N); each block keeps the
+    # smaller unknown a of each pair and holds H[a, b] + sigma H[a, R b]
+    coeffs = coeffs_fn()
+    n = coeffs.block_dim
+    count = cells * coeffs.period
+    assert _reflection_symmetric(coeffs)
+    ring = _ring_matrix(coeffs, np.arange(count), 1.0)
+    dim = ring.shape[0]
+    node, comp = np.divmod(np.arange(dim), 2 * n)
+    mirror = (-node % count) * 2 * n + (comp + n) % (2 * n)
+    assert np.array_equal(ring[mirror][:, mirror], ring)
+    kept = np.flatnonzero(np.arange(dim) < mirror)
+    assert kept.size == dim // 2
+    for sign, bands in zip((1.0, -1.0), _reflected_ring_bands(coeffs, count)):
+        block = ring[np.ix_(kept, kept)] + sign * ring[np.ix_(kept, mirror[kept])]
+        rows, cols = np.nonzero(block)
+        assert np.abs(rows - cols).max(initial=0) <= 2 * n - 1
+        expected = np.zeros((min(2 * n, dim // 2), dim // 2))
+        for k in range(expected.shape[0]):
+            expected[k, : dim // 2 - k] = np.diagonal(block, -k)
+        # on one node an entry sums three terms, in another order than here
+        np.testing.assert_allclose(bands, expected, rtol=0, atol=1e-15 * (2.0 + coeffs.Lambda0))
 
 
 def dense_count(op, sigma):

@@ -1,4 +1,8 @@
+import functools
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from dhlattice import (
     l2_inner,
     lp_norm,
 )
-from dhlattice import spectral
+from dhlattice import operators, spectral
 from dhlattice.cli import builtin_config_path, load_config, main
 from helpers import (
     first_positive,
@@ -265,21 +269,36 @@ def test_spectrum_runs_no_window_sized_dense_eigensolve(tmp_path, capsys, monkey
     assert cross["num_nodes"] == 129 and cross["max_mismatch"] <= 1e-9
 
 
+def draw_r0_matrix(draw, n):
+    """S = J0 [[P, Q], [Q, P]] with P - (N + 1/2) I positive semidefinite and
+    |Q_ij| <= 1, so |Q| <= N < lambda_min(P) and J0 S is positive definite."""
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    p = draw(arrays(float, (n, n), elements=entries))
+    p = p @ p.T + (n + 0.5) * np.eye(n)
+    q = draw(arrays(float, (n, n), elements=entries))
+    q = 0.5 * (q + q.T)
+    return coupling_matrix(n) @ np.block([[p, q], [q, p]])
+
+
 @st.composite
 def r0_coefficients(draw):
-    """S(n) = J0 [[P, Q], [Q, P]] with P - (N + 1/2) I positive semidefinite and
-    |Q_ij| <= 1, so |Q| <= N < lambda_min(P) and J0 S(n) is positive definite:
-    (R0) holds."""
+    """A period-T family of (R0) matrices, each drawn on its own."""
     n = draw(st.sampled_from([1, 2]))
     period = draw(st.integers(1, 3))
-    entries = st.floats(-1.0, 1.0, allow_nan=False)
-    mats = []
-    for _ in range(period):
-        p = draw(arrays(float, (n, n), elements=entries))
-        p = p @ p.T + (n + 0.5) * np.eye(n)
-        q = draw(arrays(float, (n, n), elements=entries))
-        q = 0.5 * (q + q.T)
-        mats.append(coupling_matrix(n) @ np.block([[p, q], [q, p]]))
+    return PeriodicCoefficients([draw_r0_matrix(draw, n) for _ in range(period)])
+
+
+@st.composite
+def reflection_symmetric_coefficients(draw):
+    """(R0) matrices drawn for n = 0..T//2, with S(-n mod T) set to P S(n) P,
+    P the swap of x1 and x2."""
+    n = draw(st.sampled_from([1, 2]))
+    period = draw(st.integers(1, 3))
+    swap = np.roll(np.arange(2 * n), n)
+    mats = [None] * period
+    for k in range(period // 2 + 1):
+        mats[k] = draw_r0_matrix(draw, n)
+        mats[-k % period] = mats[k][swap][:, swap]
     return PeriodicCoefficients(mats)
 
 
@@ -317,4 +336,93 @@ def test_symbol_chunks_match_one_batch(coeffs_fn, symbols_per_chunk, monkeypatch
     monkeypatch.setattr(spectral, "SYMBOL_CHUNK_BYTES", symbols_per_chunk * 16 * size * size)
     np.testing.assert_array_equal(spectral.symbol_eigenvalues(thetas, coeffs), whole)
     assert chunks == ([3, 3, 3, 1] if symbols_per_chunk == 3 else [1] * 10)
-    np.testing.assert_array_equal(band_structure(coeffs, 10).bands, whole)
+    bands = band_structure(coeffs, 10).bands
+    np.testing.assert_array_equal(bands[:6], whole[:6])
+    np.testing.assert_array_equal(bands[6:], bands[4:0:-1])
+    np.testing.assert_allclose(bands[6:], whole[6:], rtol=0, atol=1e-12)
+
+
+def banded_eigenvalues(bands):
+    return scipy.linalg.eigvals_banded(bands, lower=True)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(coeffs=reflection_symmetric_coefficients(), cells=st.integers(1, 9))
+def test_reflection_blocks_split_the_folded_ring(coeffs, cells):
+    # counts cells * T of both parities: an even count has a second fixed
+    # node at count/2
+    count = cells * coeffs.period
+    n = coeffs.block_dim
+    assert operators._reflection_symmetric(coeffs)
+    blocks = operators._reflected_ring_bands(coeffs, count)
+    assert len(blocks) == 2
+    for bands in blocks:
+        assert bands.shape[1] == n * count  # L / 2 columns
+        assert bands.shape[0] <= 2 * n  # at most 2N - 1 sub-diagonals
+    split = np.sort(np.concatenate([banded_eigenvalues(bands) for bands in blocks]))
+    folded = banded_eigenvalues(operators._folded_ring_bands(coeffs, count))
+    assert np.abs(split - folded).max() <= 1e-12 * (2.0 + coeffs.Lambda0)
+
+
+@functools.cache
+def perfbench_random_coefficients():
+    """The benchmark's random N = 2, T = 4 set, which is not reflection-symmetric."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    raw = workloads.random_r0_config(3)
+    return PeriodicCoefficients(np.reshape(raw["matrices"], (raw["period"], 4, 4)))
+
+
+def shipped_coefficients(name):
+    return load_config(str(builtin_config_path(name))).build_coefficients()
+
+
+@pytest.mark.parametrize("name", ["model", "period2", "n2"])
+def test_one_ulp_breaks_the_reflection_symmetry(name):
+    coeffs = shipped_coefficients(name)
+    assert operators._reflection_symmetric(coeffs)
+    mats = np.array(coeffs.matrices)
+    mats[0, 0, 0] = np.nextafter(mats[0, 0, 0], np.inf)
+    assert not operators._reflection_symmetric(PeriodicCoefficients(mats))
+    assert not operators._reflection_symmetric(perfbench_random_coefficients())
+
+
+@pytest.mark.parametrize(
+    "name, reflected",
+    [("model", True), ("period2", True), ("n2", True), ("perfbench_random", False)],
+)
+def test_crosscheck_takes_the_reflected_path_on_symmetric_sets(name, reflected, monkeypatch):
+    coeffs = (
+        perfbench_random_coefficients() if name == "perfbench_random" else shipped_coefficients(name)
+    )
+    calls = {"_reflected_ring_bands": 0, "_folded_ring_bands": 0}
+
+    def counting(builder):
+        def build(*args):
+            calls[builder.__name__] += 1
+            return builder(*args)
+
+        return build
+
+    for key in calls:
+        monkeypatch.setattr(spectral, key, counting(getattr(spectral, key)))
+    cross = spectral.periodic_crosscheck(coeffs, 5)
+    assert calls == {"_reflected_ring_bands": int(reflected), "_folded_ring_bands": int(not reflected)}
+    assert cross["max_mismatch"] <= 1e-12 * (2.0 + coeffs.Lambda0)
+
+
+@pytest.mark.parametrize("name", ["model", "period2", "n2", "perfbench_random"])
+@pytest.mark.parametrize("grid_size", [2, 3, 4, 7, 256])
+def test_uniform_grid_rows_mirror_about_pi(name, grid_size):
+    coeffs = (
+        perfbench_random_coefficients() if name == "perfbench_random" else shipped_coefficients(name)
+    )
+    thetas, rows = spectral._uniform_grid_eigenvalues(coeffs, grid_size)
+    np.testing.assert_array_equal(thetas, 2.0 * np.pi * np.arange(grid_size) / grid_size)
+    for j in range(1, grid_size):
+        np.testing.assert_array_equal(rows[grid_size - j], rows[j])
+    own = np.linalg.eigvalsh(floquet_symbol(thetas, coeffs))
+    np.testing.assert_allclose(rows, own, rtol=0, atol=1e-12)
