@@ -23,9 +23,9 @@ from dhlattice.core import gap_bounds_from_matrices
 from dhlattice.operators import (
     _assemble_banded,
     _folded_ring_bands,
+    _node_blocks,
     _reflected_ring_bands,
     _reflection_symmetric,
-    _node_blocks,
     _ring_matrix,
     sturm_count,
 )
@@ -290,7 +290,6 @@ def test_folded_ring_bands_equal_permuted_ring(coeffs_fn, count):
     for k in range(rows_expected):
         expected[k, : dim - k] = np.diagonal(folded, -k)
     assert np.array_equal(_folded_ring_bands(coeffs, count), expected)
-
 
 
 def random_n2_t2_coefficients():

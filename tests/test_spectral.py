@@ -376,17 +376,23 @@ def perfbench_random_coefficients():
     return PeriodicCoefficients(np.reshape(raw["matrices"], (raw["period"], 4, 4)))
 
 
-def shipped_coefficients(name):
+def named_coefficients(name):
+    """A shipped config's coefficients, or the benchmark's random set."""
+    if name == "perfbench_random":
+        return perfbench_random_coefficients()
     return load_config(str(builtin_config_path(name))).build_coefficients()
 
 
 @pytest.mark.parametrize("name", ["model", "period2", "n2"])
 def test_one_ulp_breaks_the_reflection_symmetry(name):
-    coeffs = shipped_coefficients(name)
+    coeffs = named_coefficients(name)
     assert operators._reflection_symmetric(coeffs)
     mats = np.array(coeffs.matrices)
     mats[0, 0, 0] = np.nextafter(mats[0, 0, 0], np.inf)
     assert not operators._reflection_symmetric(PeriodicCoefficients(mats))
+
+
+def test_benchmark_random_set_is_not_reflection_symmetric():
     assert not operators._reflection_symmetric(perfbench_random_coefficients())
 
 
@@ -395,9 +401,7 @@ def test_one_ulp_breaks_the_reflection_symmetry(name):
     [("model", True), ("period2", True), ("n2", True), ("perfbench_random", False)],
 )
 def test_crosscheck_takes_the_reflected_path_on_symmetric_sets(name, reflected, monkeypatch):
-    coeffs = (
-        perfbench_random_coefficients() if name == "perfbench_random" else shipped_coefficients(name)
-    )
+    coeffs = named_coefficients(name)
     calls = {"_reflected_ring_bands": 0, "_folded_ring_bands": 0}
 
     def counting(builder):
@@ -417,9 +421,7 @@ def test_crosscheck_takes_the_reflected_path_on_symmetric_sets(name, reflected, 
 @pytest.mark.parametrize("name", ["model", "period2", "n2", "perfbench_random"])
 @pytest.mark.parametrize("grid_size", [2, 3, 4, 7, 256])
 def test_uniform_grid_rows_mirror_about_pi(name, grid_size):
-    coeffs = (
-        perfbench_random_coefficients() if name == "perfbench_random" else shipped_coefficients(name)
-    )
+    coeffs = named_coefficients(name)
     thetas, rows = spectral._uniform_grid_eigenvalues(coeffs, grid_size)
     np.testing.assert_array_equal(thetas, 2.0 * np.pi * np.arange(grid_size) / grid_size)
     for j in range(1, grid_size):
