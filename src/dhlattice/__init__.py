@@ -31,7 +31,6 @@ from .nonlinearity import (
     family_log_saturating,
     family_quadratic,
     family_radial_rational,
-    growth_envelope_constant,
 )
 from .operators import (
     TruncatedOperator,

@@ -15,7 +15,8 @@ orbit found.
 ``load_config`` builds a config's window, nonlinearity and solve options, so
 all commands give a config the same verdict.  A bad field, flag or
 orbit-file value raises ``ConfigurationError``, which ``main`` reports as
-``{"error": ...}`` with exit 2.  Integer fields take JSON integers only, number
+``{"error": ...}`` with exit 2, as it does a ``MemoryError`` from a window or
+grid too large to allocate.  Integer fields take JSON integers only, number
 fields JSON numbers only (not booleans or strings), a section a JSON object
 only (not null), orbit files finite numbers under the header
 ``n,x1_1..x1_N,x2_1..x2_N`` only.
@@ -507,6 +508,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_CHECK_FAILED
     except ConfigurationError as exc:
         _emit({"error": str(exc)})
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:
+        _emit({"error": str(exc) or "out of memory"})
         return EXIT_CONFIG_ERROR
 
 

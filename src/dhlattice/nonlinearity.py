@@ -36,8 +36,8 @@ given sampling plan.  The grid is fixed; only its random directions depend on
 The grid is evaluated with floating-point warnings off: a sample where R or
 grad R is not finite fails (R1) with that sample as its witness, and (R2),
 (R4) and the sampled part of (R3) are then inconclusive.  The growth
-envelope is fitted on a grid of its own and reports no constant when grad R
-is not finite at one of its samples.
+envelope is fitted on the same grid's |grad R| and reports no constant when
+grad R is not finite at one of its samples.
 """
 
 from __future__ import annotations
@@ -338,28 +338,9 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), e)
 
 
-def growth_envelope_constant(nl: Nonlinearity, plan: SamplingPlan) -> dict:
-    """Fit the smallest C with |grad R(n,z)| <= eps |z| + C |z|^(p-1) on the plan grid,
-    for p = ENVELOPE_P and eps = ENVELOPE_EPS; C is None when grad R is not
-    finite at some sample, since no fit over the finite ones bounds it there."""
-    rng = np.random.default_rng(plan.seed + 1)
-    radii = SAMPLE_RADII[:, None]
-    # drawn in (node, radius, direction) order
-    dirs = rng.standard_normal(
-        (nl.period, radii.shape[0], DIRECTIONS_PER_RADIUS, 2 * nl.block_dim)
-    )
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    nodes = np.arange(nl.period)[:, None, None]
-    g = np.asarray(nl.gradient(nodes, radii[..., None] * dirs), dtype=float)
-    excess = _row_norms(g) - ENVELOPE_EPS * radii
-    ratio = excess / np.float_power(radii, ENVELOPE_P - 1.0)
-    worst = float(ratio[excess > 0.0].max(initial=0.0)) if np.isfinite(g).all() else None
-    return {"p": ENVELOPE_P, "eps": ENVELOPE_EPS, "constant": worst}
-
-
 def _sample_grid(nl: Nonlinearity, plan: SamplingPlan):
-    """The plan's directions; R, tilde R and its noise floor, |grad R|/|z| and
-    the S_inf remainder on the grid [T, radii, directions]; whether R and
+    """The plan's directions; R, tilde R and its noise floor, |grad R| and
+    |grad R - S_inf z|/|z| on the grid [T, radii, directions]; whether R and
     grad R are finite at each sample; and the worst (R1) periodicity residual.
 
     R and grad R are evaluated once on the grid.  tilde R is the difference
@@ -382,7 +363,7 @@ def _sample_grid(nl: Nonlinearity, plan: SamplingPlan):
     half_gz = 0.5 * np.vecdot(g, z)
     tilde_vals = half_gz - r_vals
     tilde_floor = eps_guard * (1.0 + np.abs(half_gz) + np.abs(r_vals))
-    grad_ratio = _row_norms(g) / radii[:, None]
+    grad_norm = _row_norms(g)
     s_inf = nl.s_infinity[:, None, None]
     asym = g - (s_inf @ z[..., None])[..., 0]
     asym_ratio = _row_norms(asym) / radii[:, None]
@@ -396,7 +377,7 @@ def _sample_grid(nl: Nonlinearity, plan: SamplingPlan):
     dg = np.abs(g_shift - g_thin).max(axis=-1) / np.maximum(1.0, np.abs(g_thin).max(axis=-1))
     # np.max propagates NaN, so a non-finite residual fails the check
     worst_period = float(np.max(np.concatenate([dv.ravel(), dg.ravel()]), initial=0.0))
-    return dirs_all, r_vals, tilde_vals, tilde_floor, grad_ratio, asym_ratio, finite, worst_period
+    return dirs_all, r_vals, tilde_vals, tilde_floor, grad_norm, asym_ratio, finite, worst_period
 
 
 def _sample_witness(index, radii: np.ndarray, dirs: np.ndarray) -> dict:
@@ -441,9 +422,10 @@ def check_hypotheses(
     )
 
     radii = SAMPLE_RADII
-    dirs_all, r_vals, tilde_vals, tilde_floor, grad_ratio, asym_ratio, finite, worst_period = (
+    dirs_all, r_vals, tilde_vals, tilde_floor, grad_norm, asym_ratio, finite, worst_period = (
         _sample_grid(nl, plan)
     )
+    grad_ratio = grad_norm / radii[:, None]
 
     # (R1): R and grad R finite on the grid, and periodicity in n on a
     # thinned subsample.
@@ -559,5 +541,13 @@ def check_hypotheses(
                 f"(scan over (0, lambda0) with lambda0 = {lam0_coeff:.6g})",
             )
 
-    envelope = growth_envelope_constant(nl, plan)
+    # the growth envelope |grad R| <= eps |z| + C |z|^(p-1): the smallest C on
+    # the grid, none when grad R is not finite at some sample, since no fit
+    # over the finite ones bounds it there
+    excess = grad_norm - ENVELOPE_EPS * radii[:, None]
+    ratio = excess / np.float_power(radii[:, None], ENVELOPE_P - 1.0)
+    constant = None
+    if np.isfinite(grad_norm).all():
+        constant = float(ratio[excess > 0.0].max(initial=0.0))
+    envelope = {"p": ENVELOPE_P, "eps": ENVELOPE_EPS, "constant": constant}
     return HypothesisReport(checks=checks, delta0_estimate=delta0, growth_envelope=envelope)

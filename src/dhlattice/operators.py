@@ -74,6 +74,15 @@ def apply_A(x: BlockVector) -> BlockVector:
     return x.with_entries(_difference_rows(x.entries, x.block_dim, x.window.boundary))
 
 
+def _require_whole_periods(window: Window, coeffs: PeriodicCoefficients) -> None:
+    """A periodic window must hold a whole number of coefficient periods."""
+    if window.boundary is Boundary.PERIODIC and window.num_nodes % coeffs.period:
+        raise ConfigurationError(
+            f"periodic window needs a node count divisible by the period "
+            f"({window.num_nodes} nodes, period {coeffs.period})"
+        )
+
+
 def apply_S(x: BlockVector, coeffs: PeriodicCoefficients) -> BlockVector:
     """Coefficient part: z(n) = -S(n mod T) x(n)."""
     if coeffs.block_dim != x.block_dim:
@@ -81,11 +90,7 @@ def apply_S(x: BlockVector, coeffs: PeriodicCoefficients) -> BlockVector:
             f"coefficients have block dimension {coeffs.block_dim}, vector has {x.block_dim}"
         )
     window = x.window
-    if window.boundary is Boundary.PERIODIC and window.num_nodes % coeffs.period:
-        raise ConfigurationError(
-            f"periodic window needs a node count divisible by the period "
-            f"({window.num_nodes} nodes, period {coeffs.period})"
-        )
+    _require_whole_periods(window, coeffs)
     per_node = coeffs.matrices[window.nodes % coeffs.period]
     return x.with_entries(-np.einsum("kij,kj->ki", per_node, x.entries))
 
@@ -342,12 +347,8 @@ class TruncatedOperator:
 
 def assemble(window: Window, coeffs: PeriodicCoefficients) -> TruncatedOperator:
     """Matrix of x -> apply_A(x) + apply_S(x, coeffs) on the window."""
+    _require_whole_periods(window, coeffs)
     if window.boundary is Boundary.PERIODIC:
-        if window.num_nodes % coeffs.period:
-            raise ConfigurationError(
-                f"periodic window needs a node count divisible by the period "
-                f"({window.num_nodes} nodes, period {coeffs.period})"
-            )
         return TruncatedOperator(window, coeffs, matrix=_ring_matrix(coeffs, window.nodes, 1.0))
     return TruncatedOperator(window, coeffs, bands=_assemble_banded(window, coeffs))
 

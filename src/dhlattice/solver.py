@@ -10,9 +10,10 @@ Hessian is one 2N x 2N block per node).  The search runs on zero-pad windows,
 where the Newton matrix is banded and each step is one banded LU solve.
 Armijo backtracking on the squared residual norm accepts only steps that
 reduce ||F||; when it finds none, or the LU gives no finite step, the one
-fallback is a rescue step of descent on (1/2)||F||^2.  The Newton matrix
-goes to ``dgbsv`` in the general-band storage it reads: H0's is built once
-per solve, and each step copies it and subtracts the Hessian blocks in place.
+fallback is a rescue step of descent on (1/2)||F||^2.  Each step builds
+the Newton matrix J once, in lower-band storage (``_jacobian``), converts a
+copy to the general-band storage ``dgbsv`` reads, and the rescue step reuses
+the same J for its two band products.
 
 Both searches try step lengths t, t/2, t/4, ... (41 Armijo trials from t = 1,
 60 rescue trials from the Cauchy step) and take the first that passes.  The
@@ -360,26 +361,6 @@ def _general_band(sym: np.ndarray) -> np.ndarray:
     return ab
 
 
-def _newton_band(h0_band: np.ndarray, hess_blocks: np.ndarray) -> np.ndarray:
-    """General-band storage of H0 - HessR(x), from H0's (``_general_band``).
-
-    Each lower-triangle entry of a Hessian block is subtracted in place, at
-    its position and at its mirror: the one subtraction per entry that
-    ``_general_band(_jacobian(op, hess_blocks))`` makes, so the bits are the
-    same, without the lower-band intermediate.
-    """
-    ab = h0_band.copy()
-    n2 = hess_blocks.shape[1]
-    diag = 2 * (ab.shape[0] - 1) // 3  # row 2 bw holds the diagonal
-    for a in range(n2):
-        for b in range(a, n2):
-            # entry (b, a) of node i's block is M[i n2 + b, i n2 + a]
-            ab[diag + b - a, a::n2] -= hess_blocks[:, b, a]
-            if b > a:
-                ab[diag - (b - a), b::n2] -= hess_blocks[:, b, a]
-    return ab
-
-
 def _solve_linear(ab: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     """Solve M x = rhs, M in LAPACK general-band storage (``_general_band``),
     by one banded LU that overwrites ``ab``.
@@ -461,7 +442,6 @@ def newton_solve(
     def inf_norm(rows: np.ndarray) -> float:
         return float(np.linalg.norm(rows, axis=1).max(initial=0.0))
 
-    h0_band = _general_band(ctx.op.bands)
     x = np.array(x0.entries)
     g = ctx.gradient_stack(x[None])[0]
     gradient_evaluations += 1
@@ -480,7 +460,8 @@ def newton_solve(
             iterations -= 1
             break
         hess = _node_hessians(ctx, BlockVector(window, ctx.op.block_dim, x))
-        delta = _solve_linear(_newton_band(h0_band, hess), -g.reshape(-1))
+        jac = _jacobian(ctx.op, hess)
+        delta = _solve_linear(_general_band(jac), -g.reshape(-1))
         g_sq = float(np.vdot(g, g))
         found = None
         if delta is None:
@@ -494,7 +475,6 @@ def newton_solve(
             )
         if found is None:
             # rescue path: steepest descent on (1/2)||F||^2, gradient J^T F
-            jac = _jacobian(ctx.op, hess)
             d = banded_matvec(jac, g.reshape(-1))
             jd = banded_matvec(jac, d)
             jd_sq = float(np.vdot(jd, jd))

@@ -723,6 +723,20 @@ class TestMalformedInput:
                 error = json.loads(captured.out)["error"]
                 assert f"unknown {section} fields" in error and key in error, (key, command)
 
+    @pytest.mark.parametrize(
+        "command, flag", [("spectrum", "--window"), ("spectrum", "--grid"), ("solve", "--window")]
+    )
+    def test_too_large_to_allocate_exits_two(self, capsys, tmp_path, command, flag):
+        # 10^15 nodes or grid points: numpy refuses the array at once
+        argv = command_argv(command, builtin_config_path("model"), tmp_path)
+        code = main(argv + [flag, "1000000000000000"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG_ERROR
+        report = json.loads(captured.out)
+        assert set(report) == {"error"}
+        assert "Unable to allocate" in report["error"]
+        assert captured.err == ""
+
     def test_deeply_nested_config_exits_two(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

@@ -13,7 +13,6 @@ from dhlattice import (
     family_log_saturating,
     family_quadratic,
     family_radial_rational,
-    growth_envelope_constant,
 )
 from dhlattice.cli import builtin_config_path, load_config
 from dhlattice.nonlinearity import SAMPLE_RADII, _row_norms, _sample_grid
@@ -326,8 +325,9 @@ class TestCheckHypotheses:
         # |grad R| reaches 1e168 on the grid: its square overflows, the entries do not
         nl = family_radial_rational(1e160)
         plan = SamplingPlan.default()
-        _, _, _, _, grad_ratio, asym_ratio, finite, _ = _sample_grid(nl, plan)
+        _, _, _, _, grad_norm, asym_ratio, finite, _ = _sample_grid(nl, plan)
         assert finite.all()
+        grad_ratio = grad_norm / SAMPLE_RADII[:, None]
         assert np.isfinite(grad_ratio).all() and np.isfinite(asym_ratio).all()
         assert grad_ratio.max() == pytest.approx(1e160, rel=1e-12)
         report = check_hypotheses(nl, model_coefficients())
@@ -387,8 +387,7 @@ class TestCheckHypotheses:
 class TestGrowthEnvelope:
     def test_fitted_constant_verifies(self):
         nl = family_radial_rational(4.0)
-        plan = SamplingPlan.default()
-        fit = growth_envelope_constant(nl, plan)
+        fit = check_hypotheses(nl, model_coefficients()).growth_envelope
         assert (fit["p"], fit["eps"]) == (4.0, 0.1)
         c = fit["constant"]
         assert 0.0 < c < 100.0
@@ -418,4 +417,3 @@ class TestGrowthEnvelope:
         assert r1.status == "fail"
         assert r1.detail.startswith("R or grad R is not finite at 384 of 2048 samples")
         assert report.growth_envelope["constant"] is None
-        assert growth_envelope_constant(nl, SamplingPlan.default())["constant"] is None

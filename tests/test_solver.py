@@ -590,6 +590,26 @@ def test_shipped_starts_match_sequential(name):
     assert rescued > 0
 
 
+def test_one_newton_matrix_per_step(monkeypatch):
+    # period2's gaussian(a=1,w=2) start takes 6 rescue steps among its 63:
+    # each step builds its Newton matrix once, and the rescue reuses it
+    calls = []
+
+    def counting(op, hess_blocks):
+        calls.append(hess_blocks.shape)
+        return _jacobian(op, hess_blocks)
+
+    monkeypatch.setattr(solver_module, "_jacobian", counting)
+    config = load_config(str(builtin_config_path("period2")))
+    ctx = FunctionalContext(
+        assemble(config.build_window(), config.build_coefficients()),
+        config.build_nonlinearity(),
+    )
+    result = newton_solve(ctx, bump_start(ctx, 1.0), run_verification=False)
+    assert (result.iterations, result.diagnostics["fallback_steps"]) == (63, 6)
+    assert len(calls) == result.iterations
+
+
 class TestMultiStart:
     def test_all_trivial_returns_empty(self):
         # strength 4 keeps the linear operator invertible: only the zero root
