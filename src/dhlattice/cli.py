@@ -342,15 +342,14 @@ def cmd_check(config: ProblemConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(config: ProblemConfig, args: argparse.Namespace) -> int:
-    """Write the band CSV plus a summary with the spectral inclusion status."""
+    """Write the band CSV plus a summary with the spectral inclusion status.
+
+    Every result is computed before the CSV is written, so a failing input
+    leaves no file behind.
+    """
     coeffs = config.build_coefficients()
     out_dir = _out_dir(args.out)
     bands = band_structure(coeffs, args.grid)
-    band_path = out_dir / "bands.csv"
-    n_bands = bands.bands.shape[1]
-    header = ",".join(["theta"] + [f"band_{i + 1}" for i in range(n_bands)])
-    table = np.column_stack([bands.thetas, bands.bands])
-    _write_lines(band_path, [header] + _csv_rows(FLOAT_FORMAT, table))
 
     tol = 1e-9
     abs_bands = np.abs(bands.bands)
@@ -362,6 +361,12 @@ def cmd_spectrum(config: ProblemConfig, args: argparse.Namespace) -> int:
     half_width = config.build_window().half_width if args.window is None else args.window
     cells = max(1, (2 * half_width + 1) // coeffs.period)
     crosscheck = periodic_crosscheck(coeffs, cells)
+
+    band_path = out_dir / "bands.csv"
+    n_bands = bands.bands.shape[1]
+    header = ",".join(["theta"] + [f"band_{i + 1}" for i in range(n_bands)])
+    table = np.column_stack([bands.thetas, bands.bands])
+    _write_lines(band_path, [header] + _csv_rows(FLOAT_FORMAT, table))
 
     summary = {
         "lambda0": coeffs.lambda0,

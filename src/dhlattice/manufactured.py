@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BlockVector, PeriodicCoefficients, Window
+from .core import BlockVector, PeriodicCoefficients, Window, coupling_matrix
 from .functional import FunctionalContext
 from .nonlinearity import Nonlinearity
 from .operators import apply_A, apply_S, assemble
@@ -54,10 +54,7 @@ def manufactured_problem(
     count = window.num_nodes
     n2 = 2 * block_dim
 
-    base = np.zeros((n2, n2))
-    base[:block_dim, block_dim:] = -np.eye(block_dim)
-    base[block_dim:, :block_dim] = -np.eye(block_dim)
-    coeffs = PeriodicCoefficients(np.tile(base, (count, 1, 1)))
+    coeffs = PeriodicCoefficients(np.tile(coupling_matrix(block_dim), (count, 1, 1)))
 
     direction = np.arange(1, n2 + 1, dtype=float)
     direction /= np.linalg.norm(direction)

@@ -11,28 +11,27 @@ self-adjoint for the plain l2 inner product; A has operator norm at most 2 and
 S at most Lambda0, so the sum is bounded by 2 + Lambda0.
 
 The truncated matrix of A + S is assembled in the node-major, block-minor
-basis (x1 components then x2 components within a node).  Storage follows the
-boundary rule: a zero-pad matrix is block-tridiagonal, but its only coupling
-between neighbours, -I from node m's z1 rows to node m-1's x2 columns, sits
-at scalar offset exactly N, inside the diagonal blocks' reach of 2N - 1; so
-its scalar half-bandwidth is 2N - 1 (tridiagonal for N = 1), and it is
-stored in LAPACK lower-banded form with 2N rows.  A periodic matrix is dense,
-because the wrap-around couplings fill its corners.  Periodic windows serve
-spectral certification only; the orbit search runs on zero-pad windows.  The
-periodic crosscheck of ``spectrum`` does not assemble its window; both of
-its builders read the ring's entry list from ``_ring_entries``.  When
-P S(-n mod T) P == S(n) exactly, P the swap of x1 and x2, the ring commutes
-with the site reflection x(n) -> P x(-n) and splits into a reflection-even
-and a reflection-odd block, each written straight into band storage with
-L/2 = NK columns and half-bandwidth 2N - 1.  Other coefficients take the
-ring's L = 2NK scalar unknowns reordered as 0, L-1, 1, L-2, ..., which brings
-every coupling, the wrap-around one included, within a scalar half-bandwidth
-of 4N - 2.
-
-One builder makes every dense matrix: the nodes closed into a ring, with
-the wrap-around coupling weighted by a phase.  Phase 1 on the window's nodes
-is the periodic matrix; exp(i theta) on the period cell 0..T-1 is the Bloch
-symbol at quasimomentum theta, built for a whole array of theta at once.
+basis (x1 components then x2 components within a node).  One builder,
+``_chain_bands``, writes its sparsity: each node's diagonal block and the -I
+coupling from node m's z1 rows to node m-1's x2 columns, which sits at
+scalar offset exactly N, inside the diagonal blocks' reach of 2N - 1.  That
+is the zero-pad matrix, in LAPACK lower-banded form with 2N rows (scalar
+half-bandwidth 2N - 1, tridiagonal for N = 1).  Closing the nodes into a
+ring adds one wrap-around rule, -1 from node 0's z1 rows to the last node's
+x2 columns, and every other matrix is read from those entries
+(``_ring_entries``).  The dense ring matrix weights the wrap-around entries
+by a phase: phase 1 on the window's nodes is the periodic matrix, exp(i
+theta) on the period cell 0..T-1 the Bloch symbol at quasimomentum theta,
+built for a whole array of theta at once.  Periodic windows serve spectral
+certification only; the orbit search runs on zero-pad windows.  The
+periodic crosscheck of ``spectrum`` takes the ring in band storage from
+``_ring_bands``: when P S(-n mod T) P == S(n) exactly, P the swap of x1 and
+x2, the ring commutes with the site reflection x(n) -> P x(-n) and splits
+into a reflection-even and a reflection-odd block, each with L/2 = NK
+columns and half-bandwidth 2N - 1; other coefficients take the ring's
+L = 2NK scalar unknowns reordered as 0, L-1, 1, L-2, ..., which brings
+every coupling, the wrap-around one included, within a scalar
+half-bandwidth of 4N - 2.
 """
 
 from __future__ import annotations
@@ -95,45 +94,6 @@ def apply_S(x: BlockVector, coeffs: PeriodicCoefficients) -> BlockVector:
     return x.with_entries(-np.einsum("kij,kj->ki", per_node, x.entries))
 
 
-def _node_blocks(coeffs: PeriodicCoefficients, nodes: np.ndarray):
-    """Diagonal blocks (one per node label) and the neighbor coupling block of A + S."""
-    n = coeffs.block_dim
-    eye = np.eye(n)
-    a_diag = np.zeros((2 * n, 2 * n))
-    a_diag[:n, n:] = eye
-    a_diag[n:, :n] = eye
-    # coupling of node m's z1 rows to node m-1's x2 columns
-    c_low = np.zeros((2 * n, 2 * n))
-    c_low[:n, n:] = -eye
-    diags = a_diag - coeffs.matrices[np.asarray(nodes) % coeffs.period]
-    return diags, c_low
-
-
-def _ring_matrix(coeffs: PeriodicCoefficients, nodes: np.ndarray, phase) -> np.ndarray:
-    """Dense A + S on consecutive nodes closed into a ring.
-
-    The first node couples to the last through the wrap-around blocks,
-    weighted by conj(phase) and phase.  Phase 1 gives the periodic window's
-    matrix; exp(i theta) on one period cell gives the Bloch symbol.  An array
-    of phases gives one matrix per entry, stacked along leading axes.
-    """
-    phase = np.asarray(phase)
-    diags, c_low = _node_blocks(coeffs, nodes)
-    count, n2 = diags.shape[0], diags.shape[1]
-    idx = np.arange(count)
-    # mat[g, i, :, j, :] is block (i, j) of the g-th matrix
-    mat = np.zeros((phase.size, count, n2, count, n2), dtype=np.result_type(phase, float))
-    mat[:, idx, :, idx, :] = diags[:, None]
-    mat[:, idx[1:], :, idx[:-1], :] = c_low
-    mat[:, idx[:-1], :, idx[1:], :] = c_low.T
-    mat = mat.reshape(phase.shape + (count * n2, count * n2))
-    # node 0's left neighbor is the last node of the previous cell; on one
-    # node both wrap-around blocks land on the diagonal block
-    mat[..., :n2, -n2:] += np.conj(phase)[..., None, None] * c_low
-    mat[..., -n2:, :n2] += phase[..., None, None] * c_low.T
-    return mat
-
-
 def _diagonal_bands(diags: np.ndarray, rows: int) -> np.ndarray:
     """Lower-banded storage with ``rows`` bands holding only the diagonal blocks."""
     count, n2 = diags.shape[:2]
@@ -146,58 +106,62 @@ def _diagonal_bands(diags: np.ndarray, rows: int) -> np.ndarray:
     return bands
 
 
-def _assemble_banded(window: Window, coeffs: PeriodicCoefficients) -> np.ndarray:
-    """Lower-banded storage of a zero-pad window: bands[k, j] = M[j + k, j]."""
-    diags, c_low = _node_blocks(coeffs, window.nodes)
-    n2 = 2 * coeffs.block_dim
-    count = window.num_nodes
-    bands = _diagonal_bands(diags, n2)
-    # M[rows(i+1), cols(i)] = c_low for i < count - 1: offset n2 + b - a,
-    # which is N for c_low's one nonzero block, so the n2 rows hold it
-    for b, a in zip(*np.nonzero(c_low)):
-        bands[n2 + b - a, a : (count - 1) * n2 : n2] = c_low[b, a]
+def _chain_bands(coeffs: PeriodicCoefficients, nodes: np.ndarray) -> np.ndarray:
+    """Lower-banded storage of A + S on consecutive nodes without wrap-around,
+    the zero-pad matrix: bands[k, j] = M[j + k, j], 2N rows.
+
+    Node m's diagonal block is [[0, I], [I, 0]] - S(m mod T), and -1 couples
+    node m's z1 rows to node m-1's x2 columns, at scalar offset exactly N.
+    """
+    n = coeffs.block_dim
+    a_diag = np.zeros((2 * n, 2 * n))
+    a_diag[:n, n:] = np.eye(n)
+    a_diag[n:, :n] = np.eye(n)
+    bands = _diagonal_bands(a_diag - coeffs.matrices[np.asarray(nodes) % coeffs.period], 2 * n)
+    # row N holds the coupling in the x2 columns of every node but the last
+    bands[n].reshape(-1, 2 * n)[:-1, n:] = -1.0
     return bands
 
 
-def _ring_entries(coeffs: PeriodicCoefficients, count: int) -> tuple[np.ndarray, ...]:
-    """(rows, cols, vals) of the periodic ring on nodes 0..count-1, its
-    L = 2N count scalar unknowns numbered node-major.
+def _ring_entries(coeffs: PeriodicCoefficients, nodes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(rows, cols, vals) of A + S on consecutive nodes closed into a ring,
+    its L = 2N count scalar unknowns numbered node-major.
 
     The ring matrix is the sum over entries of v (E[r, c] + E[c, r]), or
-    v E[r, r] on the diagonal: each diagonal block's lower triangle, and the
-    -1 from node m's z1 rows to node m-1's x2 columns, the wrap-around one
-    included.  On one node that coupling lands in the diagonal block and adds
-    to it.
+    v E[r, r] on the diagonal: the nonzero entries of ``_chain_bands``, then
+    the wrap-around rule as the last N entries, -1 from node 0's z1 rows to
+    the last node's x2 columns.  On one node the wrap-around entries land in
+    the diagonal block and add to it.
     """
-    diags, c_low = _node_blocks(coeffs, np.arange(count))
-    n2 = diags.shape[1]
-    b, a = np.tril_indices(n2)
-    cb, ca = np.nonzero(c_low)
-    first = np.arange(count)[:, None] * n2
-    rows = np.concatenate([(first + b).ravel(), (first + cb).ravel()])
-    cols = np.concatenate([(first + a).ravel(), (np.roll(first, 1, axis=0) + ca).ravel()])
-    vals = np.concatenate([diags[:, b, a].ravel(), np.tile(c_low[cb, ca], count)])
-    return rows, cols, vals
+    bands = _chain_bands(coeffs, nodes)
+    n, size = coeffs.block_dim, bands.shape[1]
+    offset, col = np.nonzero(bands)
+    wrap = np.arange(n)
+    return (
+        np.concatenate([col + offset, wrap]),
+        np.concatenate([col, size - n + wrap]),
+        np.concatenate([bands[offset, col], np.full(n, -1.0)]),
+    )
 
 
-def _folded_ring_bands(coeffs: PeriodicCoefficients, count: int) -> np.ndarray:
-    """Lower-banded storage of the periodic ring on nodes 0..count-1, with its
-    scalar unknowns ordered 0, L-1, 1, L-2, 2, ...: bands[k, j] = P[j + k, j].
+def _ring_matrix(coeffs: PeriodicCoefficients, nodes: np.ndarray, phase) -> np.ndarray:
+    """Dense A + S on consecutive nodes closed into a ring.
 
-    P is ``_ring_matrix(coeffs, arange(count), 1.0)`` under a symmetric
-    permutation, so it has the ring's eigenvalues.  Unknown s sits at position
-    2s (ascending half) or 2(L-1-s)+1 (descending half).  Every ring
-    coupling, the wrap-around one included, joins unknowns at most 2N - 1
-    apart around the ring, so positions at most 4N - 2 apart: 4N - 1 band
-    rows, or 2N on one node.
+    The scattered ``_ring_entries``, the wrap-around ones weighted by
+    conj(phase) and, transposed, by phase.  Phase 1 gives the periodic
+    window's matrix; exp(i theta) on one period cell gives the Bloch symbol.
+    An array of phases gives one matrix per entry, stacked along leading axes.
     """
-    rows, cols, vals = _ring_entries(coeffs, count)
-    size = count * 2 * coeffs.block_dim
-    unknowns = np.arange(size)
-    pos = np.minimum(2 * unknowns, 2 * (size - 1 - unknowns) + 1)
-    bands = np.zeros((min(4 * coeffs.block_dim - 1, size), size))
-    np.add.at(bands, (np.abs(pos[rows] - pos[cols]), np.minimum(pos[rows], pos[cols])), vals)
-    return bands
+    phase = np.asarray(phase)
+    rows, cols, vals = _ring_entries(coeffs, nodes)
+    n, size = coeffs.block_dim, len(nodes) * 2 * coeffs.block_dim
+    mat = np.zeros(phase.shape + (size, size), dtype=np.result_type(phase, float))
+    mat[..., rows[:-n], cols[:-n]] = vals[:-n]
+    mat[..., cols[:-n], rows[:-n]] = vals[:-n]
+    # on one node the wrap-around entries land on the diagonal block
+    mat[..., rows[-n:], cols[-n:]] += np.conj(phase)[..., None] * vals[-n:]
+    mat[..., cols[-n:], rows[-n:]] += phase[..., None] * vals[-n:]
+    return mat
 
 
 def _reflection_symmetric(coeffs: PeriodicCoefficients) -> bool:
@@ -210,29 +174,43 @@ def _reflection_symmetric(coeffs: PeriodicCoefficients) -> bool:
     return bool(np.array_equal(mirrored, mats))
 
 
-def _reflected_ring_bands(coeffs: PeriodicCoefficients, count: int) -> tuple[np.ndarray, ...]:
-    """Lower-banded storage of the periodic ring's reflection-even and
-    reflection-odd blocks, for coefficients that pass ``_reflection_symmetric``.
+def _ring_bands(coeffs: PeriodicCoefficients, count: int) -> tuple[np.ndarray, ...]:
+    """Lower-banded storage of the periodic ring on nodes 0..count-1, count a
+    whole number of periods, as blocks whose eigenvalues together are the
+    ring's.
 
-    The reflection R maps scalar unknown (n, c) to (-n mod count, c +- N).  It
-    fixes no unknown, since it swaps x1 and x2 even on the fixed nodes 0 and
-    count/2, so it pairs the L = 2N count unknowns; each block keeps the
-    smaller unknown a of each pair {a, R a}, in node-major order, and its
-    entry is H[a, b] + sigma H[a, R b], sigma = 1 for the even block and -1
-    for the odd one: H in the basis (e_a + sigma e_Ra) / sqrt(2).  The kept
-    unknowns are node 0's x1, every unknown of nodes 1..(count-1)//2, and
-    node count/2's x1 on an even count.  The wrap-around coupling of node 0
-    becomes one to node 1 and the middle nodes couple to their own mirrors,
-    so each block has L/2 columns and half-bandwidth 2N - 1, against the
-    folded ring's L columns and 4N - 2.
+    An involution R of the L = 2N count scalar unknowns pairs them; each
+    block keeps the smaller unknown a of each pair {a, R a}, at position
+    pos[a], and its entry is H[a, b] + sigma H[a, R b] (H[a, b] alone when
+    b = R b): H in the basis (e_a + sigma e_Ra) / sqrt(2), or e_a.  On
+    coefficients that pass ``_reflection_symmetric``, R is the site
+    reflection (n, c) -> (-n mod count, c +- N), which fixes no unknown
+    since it swaps x1 and x2 even on the fixed nodes 0 and count/2.  The
+    kept unknowns, in node-major order, are node 0's x1, every unknown of
+    nodes 1..(count-1)//2 and node count/2's x1 on an even count; node 0's
+    wrap-around coupling becomes one to node 1 and the middle nodes couple
+    to their own mirrors, so the even (sigma = 1) and odd (sigma = -1)
+    blocks have L/2 columns and half-bandwidth 2N - 1.  Other coefficients
+    take R = identity and one block, the folded ring: the unknowns at
+    positions 0, L-1, 1, L-2, ..., where every coupling, the wrap-around one
+    included, joins unknowns at most 2N - 1 apart around the ring, so
+    positions at most 4N - 2 apart.
     """
-    rows, cols, vals = _ring_entries(coeffs, count)
+    rows, cols, vals = _ring_entries(coeffs, np.arange(count))
     n = coeffs.block_dim
     size = count * 2 * n
-    node, comp = np.divmod(np.arange(size), 2 * n)
-    mirror = (-node % count) * 2 * n + (comp + n) % (2 * n)
-    kept = np.arange(size) < mirror
-    pos = np.cumsum(kept) - 1
+    unknowns = np.arange(size)
+    if _reflection_symmetric(coeffs):
+        node, comp = np.divmod(unknowns, 2 * n)
+        mirror = (-node % count) * 2 * n + (comp + n) % (2 * n)
+        pos = np.cumsum(unknowns < mirror) - 1
+        signs, width = (1.0, -1.0), 2 * n
+    else:
+        mirror = unknowns
+        pos = np.minimum(2 * unknowns, 2 * (size - 1 - unknowns) + 1)
+        signs, width = (1.0,), 4 * n - 1
+    kept = unknowns <= mirror
+    dim = np.count_nonzero(kept)
     # every entry of H in both orientations, the diagonal once
     off = rows != cols
     left = np.concatenate([rows, cols[off]])
@@ -245,8 +223,8 @@ def _reflected_ring_bands(coeffs: PeriodicCoefficients, count: int) -> tuple[np.
     index = (i[on] - j[on], j[on])
     mirrored, vals = ~kept[right[on]], vals[on]
     blocks = []
-    for sign in (1.0, -1.0):
-        bands = np.zeros((min(2 * n, size // 2), size // 2))
+    for sign in signs:
+        bands = np.zeros((min(width, dim), dim))
         np.add.at(bands, index, np.where(mirrored, sign * vals, vals))
         blocks.append(bands)
     return tuple(blocks)
@@ -350,7 +328,7 @@ def assemble(window: Window, coeffs: PeriodicCoefficients) -> TruncatedOperator:
     _require_whole_periods(window, coeffs)
     if window.boundary is Boundary.PERIODIC:
         return TruncatedOperator(window, coeffs, matrix=_ring_matrix(coeffs, window.nodes, 1.0))
-    return TruncatedOperator(window, coeffs, bands=_assemble_banded(window, coeffs))
+    return TruncatedOperator(window, coeffs, bands=_chain_bands(coeffs, window.nodes))
 
 
 def floquet_symbol(theta, coeffs: PeriodicCoefficients) -> np.ndarray:

@@ -12,9 +12,9 @@ grid.  On the uniform grid theta_j = 2 pi j / G only rows j = 0..G/2 are
 solved: real coefficients make M(-theta) = conj M(theta), so row G - j is a
 copy of row j.  The periodic crosscheck compares a periodic window's
 eigenvalues with the union of symbol samples on such a grid.  The window's
-eigenvalues come from band storage: from the reflection-even and -odd blocks
-when the coefficients are invariant under the site reflection, else from the
-folded ring.
+eigenvalues are the union of those of the ring's band-storage blocks from
+``operators._ring_bands``, which splits the ring by site reflection where
+the coefficients allow it.
 """
 
 from __future__ import annotations
@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError, PeriodicCoefficients, Window
-from .operators import (
-    TruncatedOperator,
-    _folded_ring_bands,
-    _reflected_ring_bands,
-    _reflection_symmetric,
-    floquet_symbol,
-)
+from .operators import TruncatedOperator, _ring_bands, floquet_symbol
 
 SYMBOL_CHUNK_BYTES = 8 * 2**20
 
@@ -126,22 +120,17 @@ def periodic_crosscheck(coeffs: PeriodicCoefficients, cells: int) -> dict:
 
     The two sets are equal in exact arithmetic; ``max_mismatch`` is the largest
     gap between them after sorting.  The window's K = cells * T nodes are not
-    assembled.  On coefficients that pass ``_reflection_symmetric`` its
-    eigenvalues are the sorted union of the reflection-even and -odd blocks:
-    two banded eigensolves of size NK at half-bandwidth 2N - 1.  Other
-    coefficients take the folded ring, one banded eigensolve of size 2NK at
-    half-bandwidth 4N - 2.  Either way the cost is O(K^2 N^3) time and
-    O(K N^2) memory, where a dense eigensolve takes O(K^3 N^3) and
-    O(K^2 N^2); the two half-size solves take about half the folded one's time.
+    assembled: its eigenvalues are the sorted union of one banded eigensolve
+    per block of ``_ring_bands``, two of size NK at half-bandwidth 2N - 1 on
+    reflection-symmetric coefficients, else one of size 2NK at half-bandwidth
+    4N - 2.  Either way the cost is O(K^2 N^3) time and O(K N^2) memory,
+    where a dense eigensolve takes O(K^3 N^3) and O(K^2 N^2); the two
+    half-size solves take about half the single one's time.
     """
     import scipy.linalg  # deferred: commands without LAPACK, like check, skip its import
     count = cells * coeffs.period
-    if _reflection_symmetric(coeffs):
-        blocks = _reflected_ring_bands(coeffs, count)
-    else:
-        blocks = (_folded_ring_bands(coeffs, count),)
     window_eigs = np.sort(np.concatenate(
-        [scipy.linalg.eigvals_banded(bands, lower=True) for bands in blocks]
+        [scipy.linalg.eigvals_banded(bands, lower=True) for bands in _ring_bands(coeffs, count)]
     ))
     sym_union = np.sort(_uniform_grid_eigenvalues(coeffs, cells)[1], axis=None)
     return {

@@ -736,6 +736,8 @@ class TestMalformedInput:
         assert set(report) == {"error"}
         assert "Unable to allocate" in report["error"]
         assert captured.err == ""
+        # the failure comes before any file is written
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_deeply_nested_config_exits_two(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -19,13 +19,12 @@ from dhlattice import (
     l2_inner,
     lp_norm,
 )
+from dhlattice import operators
 from dhlattice.core import gap_bounds_from_matrices
 from dhlattice.operators import (
-    _assemble_banded,
-    _folded_ring_bands,
-    _node_blocks,
-    _reflected_ring_bands,
+    _chain_bands,
     _reflection_symmetric,
+    _ring_bands,
     _ring_matrix,
     sturm_count,
 )
@@ -234,10 +233,17 @@ class TestBandedStorage:
 
 def reference_bands(window, coeffs):
     """Lower-banded storage written one node and one block entry at a time."""
-    diags, c_low = _node_blocks(coeffs, window.nodes)
-    n2 = 2 * coeffs.block_dim
+    n = coeffs.block_dim
+    n2 = 2 * n
+    a_diag = np.zeros((n2, n2))
+    a_diag[:n, n:] = np.eye(n)
+    a_diag[n:, :n] = np.eye(n)
+    # coupling of node m's z1 rows to node m-1's x2 columns
+    c_low = np.zeros((n2, n2))
+    c_low[:n, n:] = -np.eye(n)
     bands = np.zeros((n2, window.num_nodes * n2))
-    for i, blk in enumerate(diags):
+    for i, node in enumerate(window.nodes):
+        blk = a_diag - coeffs.matrices[node % coeffs.period]
         for a in range(n2):
             for b in range(a, n2):
                 bands[b - a, i * n2 + a] = blk[b, a]
@@ -256,7 +262,7 @@ def test_banded_assembly_equals_per_node_loop(block_dim, period, num_nodes):
     # one node is the window whose bandwidth exceeds the matrix size
     coeffs = random_coefficients(block_dim, period, np.random.default_rng(num_nodes))
     window = Window(half_width=num_nodes // 2, num_nodes=num_nodes)
-    bands = _assemble_banded(window, coeffs)
+    bands = _chain_bands(coeffs, window.nodes)
     assert np.array_equal(bands, reference_bands(window, coeffs))
     # the matrix has no entry beyond offset 2N - 1, so 2N rows drop nothing
     dense = reference_matrix(window, coeffs)
@@ -274,10 +280,12 @@ def random_n2_t4_coefficients():
     [model_coefficients, period2_coefficients, n2_coefficients, random_n2_t4_coefficients],
 )
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 9, 64])
-def test_folded_ring_bands_equal_permuted_ring(coeffs_fn, count):
+def test_folded_ring_bands_equal_permuted_ring(coeffs_fn, count, monkeypatch):
     # the ring's scalar unknowns in the order 0, L-1, 1, L-2, ...; on one node
-    # both wrap-around blocks land in the diagonal block
+    # both wrap-around blocks land in the diagonal block.  The shipped sets
+    # are reflection-symmetric, so the folded basis is forced on them.
     coeffs = coeffs_fn()
+    monkeypatch.setattr(operators, "_reflection_symmetric", lambda coeffs: False)
     n = coeffs.block_dim
     ring = _ring_matrix(coeffs, np.arange(count), 1.0)
     dim = ring.shape[0]
@@ -289,7 +297,7 @@ def test_folded_ring_bands_equal_permuted_ring(coeffs_fn, count):
     expected = np.zeros((rows_expected, dim))
     for k in range(rows_expected):
         expected[k, : dim - k] = np.diagonal(folded, -k)
-    assert np.array_equal(_folded_ring_bands(coeffs, count), expected)
+    assert np.array_equal(np.stack(_ring_bands(coeffs, count)), expected[None])
 
 
 def random_n2_t2_coefficients():
@@ -315,7 +323,9 @@ def test_reflected_ring_bands_equal_dense_blocks(coeffs_fn, cells):
     assert np.array_equal(ring[mirror][:, mirror], ring)
     kept = np.flatnonzero(np.arange(dim) < mirror)
     assert kept.size == dim // 2
-    for sign, bands in zip((1.0, -1.0), _reflected_ring_bands(coeffs, count)):
+    blocks = _ring_bands(coeffs, count)
+    assert len(blocks) == 2
+    for sign, bands in zip((1.0, -1.0), blocks):
         block = ring[np.ix_(kept, kept)] + sign * ring[np.ix_(kept, mirror[kept])]
         rows, cols = np.nonzero(block)
         assert np.abs(rows - cols).max(initial=0) <= 2 * n - 1
@@ -398,6 +408,26 @@ class TestFloquetSymbol:
         for theta in (0.0, 0.7, np.pi, 4.0):
             sym = floquet_symbol(theta, coeffs)
             np.testing.assert_allclose(sym, sym.conj().T, atol=TOL)
+
+    @pytest.mark.parametrize(
+        "coeffs_fn",
+        [model_coefficients, period2_coefficients, n2_coefficients, random_n2_t4_coefficients],
+    )
+    def test_wrap_convention_matches_periodic_window_cells(self, coeffs_fn):
+        # on x(n + T) = exp(i theta) x(n), cell 0 (nodes 0..T-1) of a 3-cell
+        # periodic window sees cell 1 as exp(i theta) x(cell 0) and cell 2, its
+        # left neighbour around the ring, as exp(-i theta) x(cell 0)
+        coeffs = coeffs_fn()
+        window = Window(half_width=0, boundary=Boundary.PERIODIC, num_nodes=3 * coeffs.period)
+        h = reference_matrix(window, coeffs)
+        c0, c1, c2 = np.split(np.arange(h.shape[0]), 3)
+        for theta in (0.0, 0.7, np.pi, 4.0):
+            expected = (
+                h[np.ix_(c0, c0)]
+                + np.exp(1j * theta) * h[np.ix_(c0, c1)]
+                + np.exp(-1j * theta) * h[np.ix_(c0, c2)]
+            )
+            assert np.array_equal(floquet_symbol(theta, coeffs), expected)
 
     def test_conjugation_symmetry(self):
         coeffs = period2_coefficients()

@@ -348,20 +348,20 @@ def banded_eigenvalues(bands):
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(coeffs=reflection_symmetric_coefficients(), cells=st.integers(1, 9))
-def test_reflection_blocks_split_the_folded_ring(coeffs, cells):
+def test_reflection_blocks_hold_the_ring_eigenvalues(coeffs, cells):
     # counts cells * T of both parities: an even count has a second fixed
     # node at count/2
     count = cells * coeffs.period
     n = coeffs.block_dim
     assert operators._reflection_symmetric(coeffs)
-    blocks = operators._reflected_ring_bands(coeffs, count)
+    blocks = operators._ring_bands(coeffs, count)
     assert len(blocks) == 2
     for bands in blocks:
         assert bands.shape[1] == n * count  # L / 2 columns
         assert bands.shape[0] <= 2 * n  # at most 2N - 1 sub-diagonals
     split = np.sort(np.concatenate([banded_eigenvalues(bands) for bands in blocks]))
-    folded = banded_eigenvalues(operators._folded_ring_bands(coeffs, count))
-    assert np.abs(split - folded).max() <= 1e-12 * (2.0 + coeffs.Lambda0)
+    ring = np.linalg.eigvalsh(operators._ring_matrix(coeffs, np.arange(count), 1.0))
+    assert np.abs(split - ring).max() <= 1e-12 * (2.0 + coeffs.Lambda0)
 
 
 @functools.cache
@@ -402,19 +402,17 @@ def test_benchmark_random_set_is_not_reflection_symmetric():
 )
 def test_crosscheck_takes_the_reflected_path_on_symmetric_sets(name, reflected, monkeypatch):
     coeffs = named_coefficients(name)
-    calls = {"_reflected_ring_bands": 0, "_folded_ring_bands": 0}
+    block_counts = []
 
-    def counting(builder):
-        def build(*args):
-            calls[builder.__name__] += 1
-            return builder(*args)
+    def counting(*args):
+        blocks = operators._ring_bands(*args)
+        block_counts.append(len(blocks))
+        return blocks
 
-        return build
-
-    for key in calls:
-        monkeypatch.setattr(spectral, key, counting(getattr(spectral, key)))
+    monkeypatch.setattr(spectral, "_ring_bands", counting)
     cross = spectral.periodic_crosscheck(coeffs, 5)
-    assert calls == {"_reflected_ring_bands": int(reflected), "_folded_ring_bands": int(not reflected)}
+    # the reflection-even and -odd blocks, or the one folded ring
+    assert block_counts == [2 if reflected else 1]
     assert cross["max_mismatch"] <= 1e-12 * (2.0 + coeffs.Lambda0)
 
 
