@@ -19,7 +19,10 @@ orbit-file value raises ``ConfigurationError``, which ``main`` reports as
 grid too large to allocate.  Integer fields take JSON integers only, number
 fields JSON numbers only (not booleans or strings), a section a JSON object
 only (not null), orbit files finite numbers under the header
-``n,x1_1..x1_N,x2_1..x2_N`` only.
+``n,x1_1..x1_N,x2_1..x2_N`` only.  An orbit file is read in one pass: the
+rows' comma counts, one split of the joined rows, and ``int`` and ``float``
+over the whole label and entry columns; a file that fails any of these is
+reported by its first faulty row, as a row-by-row reader would.
 Coefficients that fail the hypothesis (R0) exit 1.
 
 The configuration is a JSON object with explicit dimensions; matrices are
@@ -51,7 +54,7 @@ import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -69,7 +72,7 @@ from .core import (
 from .functional import FunctionalContext
 from .nonlinearity import FAMILIES, Nonlinearity, SamplingPlan, check_hypotheses
 from .operators import assemble
-from .spectral import band_structure, periodic_crosscheck
+from .spectral import BandStructure, band_structure, periodic_crosscheck
 from .solver import SolveOptions, StartStrategy, default_starts, multi_start, verify_candidate
 
 EXIT_OK = 0
@@ -286,12 +289,35 @@ def _csv_rows(first_format: str, table: np.ndarray) -> list[str]:
     return [row_format % tuple(row) for row in table.tolist()]
 
 
+def _band_rows(bands: BandStructure) -> list[str]:
+    """The band CSV rows: theta, then the bands, each in FLOAT_FORMAT.
+
+    Row G - j of ``band_structure``'s grid of G thetas is a copy of row j,
+    so the band text of rows 0..G//2 is formatted once and reused for the
+    mirror rows; the theta column is formatted for every row.
+    """
+    grid_size, n_bands = bands.bands.shape
+    half = grid_size // 2 + 1
+    band_format = ",".join([FLOAT_FORMAT] * n_bands)
+    text = [band_format % tuple(row) for row in bands.bands[:half].tolist()]
+    text += text[grid_size - half : 0 : -1]
+    thetas = [FLOAT_FORMAT % t for t in bands.thetas.tolist()]
+    return [f"{t},{b}" for t, b in zip(thetas, text)]
+
+
 def _write_orbit_csv(path: Path, orbit: BlockVector) -> None:
     table = np.column_stack([orbit.window.nodes, orbit.entries])
     _write_lines(path, [_orbit_header(orbit.block_dim)] + _csv_rows("%d", table))
 
 
 def _read_orbit_csv(path: str, window: Window, block_dim: int) -> BlockVector:
+    """The orbit a CSV file holds on ``window``, parsed in one pass.
+
+    After the header and the row count, every row's comma count is checked,
+    the rows are split as one joined string, and the labels and entries go
+    through ``int`` and ``float`` as two whole columns.  When any of these
+    fails, ``_raise_first_faulty_row`` names the first faulty row.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # unreadable, or not UTF-8
@@ -311,24 +337,44 @@ def _read_orbit_csv(path: str, window: Window, block_dim: int) -> BlockVector:
         raise ConfigurationError(
             f"orbit file has {len(rows)} nodes, window expects {window.num_nodes}"
         )
-    entries = np.empty((window.num_nodes, 2 * block_dim))
-    for i, (node, line) in enumerate(zip(window.nodes, rows)):
+    nodes = window.nodes.tolist()
+    if any(row.count(",") != expected_cols - 1 for row in rows):
+        _raise_first_faulty_row(rows, nodes, expected_cols)
+    cells = ",".join(rows).split(",")
+    try:
+        labels = list(map(int, cells[::expected_cols]))
+        del cells[::expected_cols]
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        _raise_first_faulty_row(rows, nodes, expected_cols)
+    if labels != nodes:
+        _raise_first_faulty_row(rows, nodes, expected_cols)
+    entries = values.reshape(window.num_nodes, 2 * block_dim)
+    bad = np.argwhere(~np.isfinite(entries))
+    if bad.size:
+        raise ConfigurationError(f"orbit file row {bad[0, 0] + 2} holds a non-finite entry")
+    return BlockVector(window, block_dim, entries)
+
+
+def _raise_first_faulty_row(rows: list[str], nodes: list[int], expected_cols: int) -> NoReturn:
+    """Raise the error of the first orbit file row, in file order, with the
+    wrong column count, a label or entry that ``int`` or ``float`` rejects, or
+    a label other than its window node, checked in that order per row."""
+    for i, (node, line) in enumerate(zip(nodes, rows)):
         parts = line.split(",")
         if len(parts) != expected_cols:
             raise ConfigurationError(f"orbit file row {i + 2} has {len(parts)} columns")
         try:
             label = int(parts[0])
-            entries[i] = [float(v) for v in parts[1:]]
+            for v in parts[1:]:
+                float(v)
         except ValueError as exc:
             raise ConfigurationError(f"orbit file row {i + 2}: {exc}") from exc
-        if label != int(node):
+        if label != node:
             raise ConfigurationError(
-                f"orbit file row {i + 2} is node {parts[0]}, window expects {int(node)}"
+                f"orbit file row {i + 2} is node {parts[0]}, window expects {node}"
             )
-    bad = np.argwhere(~np.isfinite(entries))
-    if bad.size:
-        raise ConfigurationError(f"orbit file row {bad[0, 0] + 2} holds a non-finite entry")
-    return BlockVector(window, block_dim, entries)
+    raise AssertionError("the orbit file has no faulty row")
 
 
 def cmd_check(config: ProblemConfig, args: argparse.Namespace) -> int:
@@ -365,8 +411,7 @@ def cmd_spectrum(config: ProblemConfig, args: argparse.Namespace) -> int:
     band_path = out_dir / "bands.csv"
     n_bands = bands.bands.shape[1]
     header = ",".join(["theta"] + [f"band_{i + 1}" for i in range(n_bands)])
-    table = np.column_stack([bands.thetas, bands.bands])
-    _write_lines(band_path, [header] + _csv_rows(FLOAT_FORMAT, table))
+    _write_lines(band_path, [header] + _band_rows(bands))
 
     summary = {
         "lambda0": coeffs.lambda0,

@@ -375,6 +375,7 @@ def _solve_linear(ab: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     return x
 
 
+@np.errstate(all="ignore")
 def newton_solve(
     ctx: FunctionalContext,
     x0: BlockVector,
@@ -390,9 +391,27 @@ def newton_solve(
     still halves the residual, down to the floating-point floor, so tail
     entries of the orbit stay meaningful well below the tolerance.  A start
     whose residual stalls short of the tolerance stops at the stagnation exit
-    described in the module docstring.
+    described in the module docstring.  Floating-point overflow raises no
+    warning: a start whose gradient is not finite fails the convergence test
+    and ends ``no_convergence``.
     """
     opts = opts or SolveOptions()
+    orbit, g_inf, iterations, status, diagnostics = _newton_iterate(ctx, x0, opts)
+    report = None
+    if status == "converged" and run_verification:
+        report = verify_candidate(ctx, orbit, opts)
+        status = "verified" if report.passed else "unverified"
+    return SolveResult(
+        orbit, Phi(ctx, orbit), g_inf, iterations, start_tag, status, report, diagnostics
+    )
+
+
+def _newton_iterate(
+    ctx: FunctionalContext, x0: BlockVector, opts: SolveOptions
+) -> tuple[BlockVector, float, int, str, dict]:
+    """The iteration of ``newton_solve`` without the action or verification:
+    (final iterate, its max-norm residual, steps taken, status, diagnostics),
+    the status ``converged``, ``trivial`` or ``no_convergence``."""
     _require_zero_pad(ctx)
     ctx._check(x0)
     window = ctx.window
@@ -521,19 +540,13 @@ def newton_solve(
         "gradient_evaluations": gradient_evaluations,
         "stop_reason": stop_reason,
     }
-    report = None
     if not converged:
         status = "no_convergence"
     elif lp_norm(orbit, np.inf) <= TRIVIAL_TOL:
         status = "trivial"
-    elif not run_verification:
-        status = "converged"
     else:
-        report = verify_candidate(ctx, orbit, opts)
-        status = "verified" if report.passed else "unverified"
-    return SolveResult(
-        orbit, Phi(ctx, orbit), g_inf, iterations, start_tag, status, report, diagnostics
-    )
+        status = "converged"
+    return orbit, g_inf, iterations, status, diagnostics
 
 
 def verify_candidate(

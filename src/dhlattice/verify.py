@@ -15,7 +15,8 @@ Decay is certified empirically: a least-squares fit of log|x(n)| against |n|
 over the outer tail of the window, with a shared slope and one intercept per
 side, must give a per-node rate below 1 with r^2 above 0.99.  Window-doubling
 re-solves the system on a window twice as wide, seeded with the zero-padded
-orbit, and reports the drift on the original nodes.
+orbit, and reports the drift on the original nodes; the re-solve evaluates
+no action, so ``verify_orbit`` evaluates Phi once, for the energy identity.
 
 The tolerances are fixed module constants:
 
@@ -151,19 +152,22 @@ def window_stability(
 ) -> float:
     """Drift on the original nodes after re-solving on a doubled window.
 
-    Returns inf (failure) if the re-solve does not converge.
+    The re-solve is the Newton iteration of ``solver.newton_solve`` from the
+    zero-padded orbit, without its action value or verification: only the
+    final iterate and its status are read.  Returns inf (failure) if the
+    re-solve does not converge or converges to the trivial orbit.
     """
-    from .solver import newton_solve  # deferred: solver builds on this module
+    from .solver import _newton_iterate  # deferred: solver builds on this module
 
     src = x.window
     doubled = Window(2 * src.half_width, Boundary.ZERO_PAD, 2 * src.num_nodes - 1)
     big_ctx = ctx_builder(doubled)
     seed = reembed(x, doubled)
-    result = newton_solve(big_ctx, seed, opts, run_verification=False)
-    if result.status not in ("converged", "verified"):
+    orbit, _, _, status, _ = _newton_iterate(big_ctx, seed, opts)
+    if status != "converged":
         return float("inf")
     offset = src.lo - doubled.lo
-    big = result.orbit.entries[offset : offset + src.num_nodes]
+    big = orbit.entries[offset : offset + src.num_nodes]
     return float(np.linalg.norm(big - x.entries, axis=1).max(initial=0.0))
 
 
@@ -191,6 +195,7 @@ class VerificationReport:
         }
 
 
+@np.errstate(all="ignore")
 def verify_orbit(
     ctx: FunctionalContext,
     x: BlockVector,
@@ -202,7 +207,9 @@ def verify_orbit(
 
     ``x`` must live on a zero-pad window (``residual_DHS`` raises ValueError
     otherwise).  The window-doubling re-solve builds its context with
-    ``ctx_builder`` and runs ``newton_solve`` with ``solve_opts``.
+    ``ctx_builder`` and runs the Newton iteration with ``solve_opts``.
+    Floating-point overflow raises no warning: a check whose value is not
+    finite (an orbit too large for its norms, say) fails.
     """
     _, res_inf = residual_DHS(ctx.op.coeffs, ctx.nl, x)
     energy = energy_identity_check(ctx, x)
@@ -212,7 +219,7 @@ def verify_orbit(
     checks = {
         "residual": res_inf <= RESIDUAL_TOL,
         "energy_identity": energy <= ENERGY_TOL,
-        "nontrivial": linf > TRIVIAL_TOL,
+        "nontrivial": TRIVIAL_TOL < linf < math.inf,
         "decay": fit.conclusive and fit.rate < DECAY_RATE_MAX and fit.r_squared > R_SQUARED_MIN,
         "window_stability": drift <= WINDOW_DRIFT_TOL,
     }

@@ -539,6 +539,44 @@ class TestVerifyCommand:
         assert second.read_text() == orbit_path.read_text()
 
 
+class TestHugeFiniteNumbers:
+    """Finite inputs whose squares overflow: the norms and the nonlinearity
+    give inf and NaN, every check they feed fails, and no floating-point
+    warning is raised (warnings are errors here, as in CI)."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_verify_huge_orbit_fails_every_check(self, capsys, tmp_path):
+        config = builtin_config_path("model")
+        nodes = load_config(str(config)).build_window().nodes
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(["n,x1_1,x2_1"] + [f"{n},1e160,1e160" for n in nodes]) + "\n")
+        code = main(["verify", "--config", str(config), str(path)])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out, parse_constant=reject_constant)
+        assert code == EXIT_CHECK_FAILED
+        assert captured.err == ""
+        assert report["passed"] is False
+        assert not any(report["checks"].values())
+        for key in ("dhs_residual_inf", "energy_identity_defect", "orbit_linf",
+                    "window_stability_inf"):
+            assert report[key] is None, key
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_solve_huge_start_finds_no_orbit(self, capsys, tmp_path):
+        raw = json.loads(builtin_config_path("model").read_text())
+        raw["window"]["half_width"] = 16
+        raw["solver"]["starts"] = [{"kind": "gaussian", "amplitude": 1e160, "width": 2.0}]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--skip-check"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out, parse_constant=reject_constant)
+        assert code == EXIT_NO_ORBIT
+        assert captured.err == ""
+        assert report["results"] == []
+
+
 class TestDeterminism:
     def test_solve_byte_identical(self, capsys, tmp_path, model_config_path):
         outs = []

@@ -255,6 +255,16 @@ class TestNewtonSolve:
         assert result.iterations <= 1
         assert result.verification is None
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_start_ends_without_convergence_or_warning(self):
+        # squares of 1e160 overflow: the gradient is not finite, so the start
+        # fails the convergence test and names why it stopped
+        ctx = model_ctx(16)
+        result = newton_solve(ctx, bump_start(ctx, 1e160), SolveOptions())
+        assert result.status == "no_convergence"
+        assert result.diagnostics["stop_reason"] == "line_search_failed"
+        assert result.verification is None
+
     def test_model_orbit_end_to_end(self, solved_model):
         _, result = solved_model
         assert result.grad_inf_norm < 1e-10

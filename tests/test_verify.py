@@ -234,3 +234,23 @@ class TestVerifyOrbit:
             "residual", "energy_identity", "nontrivial", "decay", "window_stability"
         }
         json.dumps(report.to_dict())
+
+    def test_one_action_evaluation_per_verify(self, model_orbit, monkeypatch):
+        # the energy identity reads Phi once; the window-doubling re-solve
+        # reads only its iterate and status, so it evaluates no action
+        import dhlattice.solver as solver_module
+        import dhlattice.verify as verify_module
+
+        ctx, orbit = model_orbit
+        calls = []
+        for module in (solver_module, verify_module):
+            phi = module.Phi
+
+            def counted(*args, _phi=phi, _name=module.__name__, **kwargs):
+                calls.append(_name)
+                return _phi(*args, **kwargs)
+
+            monkeypatch.setattr(module, "Phi", counted)
+        report = solver_module.verify_candidate(ctx, orbit, SolveOptions())
+        assert report.passed
+        assert calls == ["dhlattice.verify"]
