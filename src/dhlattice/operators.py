@@ -248,6 +248,9 @@ def sturm_count(bands: np.ndarray, sigma: float = 0.0) -> int:
     of magnitude below pivmin is replaced by -pivmin, LAPACK ``dstebz``'s rule
     (Demmel, Dhillon & Ren 1995): an eigenvalue equal to sigma counts, and a
     zero diagonal, like the model operator's at sigma = 0, divides by no zero.
+    No solve path calls it: a zero-pad window's count at 0 is dim/2 under
+    (R0) (``solver._linking_direction``), so it is kept for the relative
+    Morse index of an orbit's Newton matrix J, ``sturm_count(J) - dim/2``.
     """
     bw = bands.shape[0] - 1
     dim = bands.shape[1]

@@ -61,19 +61,24 @@ where comparing every shift on the whole window costs O(K^2).
 Zero is always a root, so converged points below a smallness threshold are
 rejected as trivial; accepted orbits are handed to the verification module
 (difference-equation residual, decay fit, energy identity, window doubling)
-and only fully verified results count as successes.
+and only fully verified results count as successes.  ``multi_start`` groups
+the converged candidates of all its starts into distinct orbits first and
+verifies each group's cleanest copy, falling back to the next copy only when
+one fails, so an orbit that several starts reach is verified once.
 
 Initial guesses recycle the saddle geometry of the functional: the eigenvector
 of the smallest positive eigenvalue lambda+ is the flattest ascent direction of
 the quadratic part, along which the action rises first and eventually falls
 once the interaction takes over, so scaled copies of it bracket interesting
 amplitudes.  The ``linking`` start gets that vector from the operator's band
-storage without an eigenbasis: a Sturm count of the eigenvalues <= 0
-(``operators.sturm_count``), one selected eigenvalue call for the two
-eigenvalues either side of zero, one banded LU of H0 - lambda+ I, and a few
-inverse-iteration solves on it from a fixed vector.  For N = 1 the band is
-tridiagonal and every step is linear in the window.  For N >= 2 the band's
-reduction to tridiagonal form inside the eigenvalue call stays quadratic.
+storage without an eigenbasis.  Under (R0) every zero-pad window has exactly
+dim/2 eigenvalues <= -lambda0 and dim/2 >= lambda0 (``_linking_direction``
+proves it), so lambda+ is the eigenvalue at index dim/2: one selected
+eigenvalue call for that index alone, one banded LU of H0 - lambda+ I, and
+a few inverse-iteration solves on it from a fixed vector.  For N = 1 the
+band is tridiagonal and every step is linear in the window.  For N >= 2 the
+band's reduction to tridiagonal form inside the eigenvalue call stays
+quadratic.
 The result is normalized with its largest-magnitude entry positive; when
 lambda+ is degenerate, any vector of its eigenspace serves.  Bump and random
 starts cover orbits the delocalized eigenvector misses.
@@ -98,7 +103,7 @@ from .core import (
     shift,
 )
 from .functional import FunctionalContext, Phi
-from .operators import TruncatedOperator, _diagonal_bands, assemble, banded_matvec, sturm_count
+from .operators import TruncatedOperator, _diagonal_bands, assemble, banded_matvec
 from .verify import TRIVIAL_TOL, VerificationReport, verify_orbit
 
 GRAD_TOL = 1e-10
@@ -260,15 +265,31 @@ def initial_guess(
 
 
 def _linking_direction(bands: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the smallest positive eigenvalue of a banded operator.
+    """Unit eigenvector of the smallest positive eigenvalue of a zero-pad operator.
 
-    A Sturm count gives the number m of eigenvalues <= 0, and one selected
-    eigenvalue call returns eigenvalues m - 1 and m only (``dsbevx``: the band
-    reduced to tridiagonal form, then bisection on the two indices); lambda+ is
-    the upper one, and a pair that does not bracket zero raises NumericalError.
-    For N = 1 the band is tridiagonal, so the count, the selection and the
-    inverse iteration are all linear in the window; for N >= 2 the band
-    reduction stays quadratic.
+    Under (R0) a zero-pad window's matrix H0 = A + S has exactly dim/2
+    eigenvalues <= -lambda0, dim/2 >= lambda0 and none between, so lambda+
+    is the eigenvalue at index m = dim // 2:
+
+    * Let H0 x = lambda x, and G(n) = J0 S(n) >= lambda0 I by (R0).  Since
+      (S x)(n) = -S(n) x(n), multiplying by J0 node-wise gives
+      J0 A x - G x = lambda J0 x.
+    * <x, J0 A x> = sum x1(n) x1(n+1) + sum x2(n) x2(n-1) - |x|^2 <= 0 by
+      Cauchy-Schwarz, since zero padding makes both shifts contractions.
+    * So lambda <x, J0 x> <= -lambda0 |x|^2, and |<x, J0 x>| <= |x|^2
+      gives |lambda| >= lambda0.
+    * Replace S by t S for t in [0, 1].  (R0) holds with t lambda0 > 0 for
+      t > 0, and A alone is nonsingular (its x2 -> z1 block is unit lower
+      bidiagonal), so no eigenvalue crosses zero.
+    * A's eigenvalues are +- the singular values of that block, so exactly
+      KN = dim/2 of them are negative.
+
+    One selected eigenvalue call (``dsbevx``: the band reduced to tridiagonal
+    form, then bisection on index m alone) returns lambda+; bands that do not
+    come from (R0) coefficients can give a value that is not positive, which
+    raises NumericalError.  For N = 1 the band is tridiagonal, so the
+    selection and the inverse iteration are linear in the window; for N >= 2
+    the band reduction stays quadratic.
 
     Inverse iteration with the computed eigenvalue as shift: its error is at
     roundoff, so each solve multiplies the wanted component by about
@@ -282,18 +303,14 @@ def _linking_direction(bands: np.ndarray) -> np.ndarray:
     """
     import scipy.linalg  # deferred: commands without LAPACK, like check, skip its import
     bw, dim = bands.shape[0] - 1, bands.shape[1]
-    m = sturm_count(bands)
-    if m == dim:
-        raise NumericalError("operator has no positive eigenvalues")
-    low = max(m - 1, 0)
-    pair = scipy.linalg.eig_banded(
-        bands, lower=True, select="i", select_range=(low, m), eigvals_only=True
-    )
-    lam = pair[-1]
-    if not (lam > 0 and (m == 0 or pair[0] <= 0)):
+    m = dim // 2
+    lam = scipy.linalg.eig_banded(
+        bands, lower=True, select="i", select_range=(m, m), eigvals_only=True
+    )[0]
+    if not lam > 0:
         raise NumericalError(
-            f"eigenvalues {pair.tolist()} at indices {low}..{m} do not bracket "
-            f"zero, against a count of {m} nonpositive ones"
+            f"eigenvalue {lam} at index {m} of {dim} is not positive: the bands "
+            "do not come from coefficients satisfying (R0)"
         )
     # the largest absolute row sum bounds ||H0||_2
     row_sums = np.abs(bands[0])
@@ -591,35 +608,63 @@ def _same_orbit(a: BlockVector, b: BlockVector, period: int) -> bool:
     return False
 
 
+def _result_order(res: SolveResult) -> tuple:
+    return (res.phi_value, res.grad_inf_norm, res.start_used)
+
+
+def _cleanest(group: Sequence[SolveResult]) -> SolveResult:
+    return min(group, key=lambda r: r.grad_inf_norm)
+
+
+def _orbit_groups(results: Sequence[SolveResult], period: int) -> list[list[SolveResult]]:
+    """The results grouped into distinct orbits, each group in ``_result_order``.
+
+    Results are taken in that order; each joins the first group whose
+    cleanest member (smallest ``grad_inf_norm``, the earlier one on a tie)
+    it matches up to a period shift (``_same_orbit``), or starts a new group.
+    """
+    groups: list[list[SolveResult]] = []
+    for res in sorted(results, key=_result_order):
+        for group in groups:
+            if _same_orbit(_cleanest(group).orbit, res.orbit, period):
+                group.append(res)
+                break
+        else:
+            groups.append([res])
+    return groups
+
+
 def deduplicate_results(results: Sequence[SolveResult], period: int) -> list[SolveResult]:
     """Collapse orbits within DUPLICATE_TOL up to a period shift, keeping the cleanest copy."""
-    ordered = sorted(results, key=lambda r: (r.phi_value, r.grad_inf_norm, r.start_used))
-    kept: list[SolveResult] = []
-    for res in ordered:
-        dup_at = None
-        for i, existing in enumerate(kept):
-            if _same_orbit(existing.orbit, res.orbit, period):
-                dup_at = i
-                break
-        if dup_at is None:
-            kept.append(res)
-        elif res.grad_inf_norm < kept[dup_at].grad_inf_norm:
-            kept[dup_at] = res
-    kept.sort(key=lambda r: (r.phi_value, r.grad_inf_norm, r.start_used))
-    return kept
+    return sorted((_cleanest(group) for group in _orbit_groups(results, period)),
+                  key=_result_order)
 
 
 def multi_start(ctx: FunctionalContext, opts: Optional[SolveOptions] = None) -> list[SolveResult]:
-    """Run one Newton solve per start, keep verified orbits, deduplicate, sort by action."""
+    """Run one Newton solve per start and return the verified distinct orbits,
+    sorted by action.
+
+    The starts are solved without verification.  Their converged candidates
+    are grouped into distinct orbits as ``deduplicate_results`` groups them,
+    and each group's members are verified in ascending ``grad_inf_norm``
+    (ties in group order) until one passes: that copy is reported, so each
+    distinct orbit is verified once unless its cleanest copy fails.
+    """
     opts = opts or SolveOptions()
     if not opts.starts:
         raise ConfigurationError("opts.starts must not be empty")
     rng = np.random.default_rng(opts.seed)
-    successes: list[SolveResult] = []
+    candidates: list[SolveResult] = []
     for strategy in opts.starts:
         x0 = initial_guess(strategy, ctx, strategy.amplitude, rng=rng)
-        result = newton_solve(ctx, x0, opts, start_tag=strategy.tag)
-        if result.success:
-            successes.append(result)
-    return deduplicate_results(successes, ctx.op.coeffs.period)
-
+        result = newton_solve(ctx, x0, opts, start_tag=strategy.tag, run_verification=False)
+        if result.status == "converged":
+            candidates.append(result)
+    verified: list[SolveResult] = []
+    for group in _orbit_groups(candidates, ctx.op.coeffs.period):
+        for res in sorted(group, key=lambda r: r.grad_inf_norm):
+            report = verify_candidate(ctx, res.orbit, opts)
+            if report.passed:
+                verified.append(replace(res, status="verified", verification=report))
+                break
+    return sorted(verified, key=_result_order)

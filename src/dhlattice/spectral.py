@@ -4,9 +4,13 @@ The eigenvalues split the state space into the spans of negative and positive
 eigenvectors; functional.Phi_split reads that splitting from the eigenvector
 coordinates.  On periodic windows the truncation is spectrally exact (every
 eigenvalue is a Bloch symbol sample), so the gap (-lambda0, lambda0) is
-certified free of eigenvalues.  Zero-pad truncation can create
-boundary-localized modes inside the gap; those are truncation artifacts, not
-spectrum.  The band structure takes batched eigenvalue calls on Bloch symbol
+certified free of eigenvalues.  Zero-pad truncation puts no eigenvalue in
+(-lambda0, lambda0) either (``solver._linking_direction`` proves it from
+(R0)), but where the spectrum's own gap is wider it can create
+boundary-localized modes between +-lambda0 and the band edges; those are
+truncation artifacts, not spectrum.  (period2 has lambda0 = 0.8 and band
+edges near -1.095 and 0.980; its zero-pad windows' spectrum starts at 0.98.)
+The band structure takes batched eigenvalue calls on Bloch symbol
 stacks of at most SYMBOL_CHUNK_BYTES each, so memory does not grow with the
 grid.  On the uniform grid theta_j = 2 pi j / G only rows j = 0..G/2 are
 solved: real coefficients make M(-theta) = conj M(theta), so row G - j is a

@@ -381,6 +381,35 @@ class TestSturmCount:
         assert sturm_count(op.bands, sigma) == dense_count(op, sigma)
 
 
+class TestFiniteWindowGap:
+    """Under (R0) every window's matrix has dim/2 eigenvalues <= -lambda0,
+    dim/2 >= lambda0 and none between; the linking start relies on it
+    (``solver._linking_direction`` proves it for zero-pad windows)."""
+
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @given(
+        block_dim=st.integers(1, 3),
+        period=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        periodic=st.booleans(),
+        size=st.integers(0, 24),
+    )
+    def test_half_the_spectrum_on_each_side_of_the_gap(
+        self, block_dim, period, seed, periodic, size
+    ):
+        coeffs = random_coefficients(block_dim, period, np.random.default_rng(seed))
+        if periodic:
+            window = Window.periodic_cells(period, size // period + 1)
+        else:
+            window = Window.zero_pad(size)
+        op = assemble(window, coeffs)
+        values = np.linalg.eigvalsh(op.to_dense())
+        assert int((values < 0).sum()) == op.dim // 2
+        assert np.abs(values).min() >= coeffs.lambda0 * (1.0 - 1e-12)
+        if not periodic:
+            assert sturm_count(op.bands) == op.dim // 2
+
+
 class TestFloquetSymbol:
     def test_model_analytic_endpoints(self):
         coeffs = model_coefficients()

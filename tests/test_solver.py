@@ -29,7 +29,7 @@ from dhlattice import (
 )
 from dhlattice import solver as solver_module
 from dhlattice.cli import builtin_config_path, load_config
-from dhlattice.operators import banded_matvec, sturm_count
+from dhlattice.operators import banded_matvec
 from dhlattice.solver import (
     ARMIJO,
     BACKTRACK_TRIALS,
@@ -45,6 +45,7 @@ from dhlattice.solver import (
     _node_hessians,
     _same_orbit,
     _solve_linear,
+    verify_candidate,
 )
 from helpers import (
     model_coefficients,
@@ -225,16 +226,38 @@ class TestLinkingStart:
         )
         assert min(np.abs(v - u[:, 0]).max(), np.abs(v + u[:, 0]).max()) < 1e-10
 
-    def test_count_must_bracket_zero(self, monkeypatch):
+    def test_middle_eigenvalue_must_be_positive(self):
         negative = -np.ones((1, 4))
-        with pytest.raises(NumericalError, match="no positive eigenvalues"):
+        with pytest.raises(NumericalError, match="at index 2 of 4 is not positive"):
             solver_module._linking_direction(negative)
-        bands = assemble(Window.zero_pad(4), model_coefficients()).bands
-        m = sturm_count(bands)
-        for wrong in (m - 1, m + 1):
-            monkeypatch.setattr(solver_module, "sturm_count", lambda b, wrong=wrong: wrong)
-            with pytest.raises(NumericalError, match="do not bracket zero"):
-                solver_module._linking_direction(bands)
+        # model's spectrum lies in [-3, -1] and [1, 3]; shifted by -4, none is positive
+        bands = assemble(Window.zero_pad(4), model_coefficients()).bands.copy()
+        bands[0] -= 4.0
+        with pytest.raises(NumericalError, match="at index 9 of 18 is not positive"):
+            solver_module._linking_direction(bands)
+
+    def test_one_selected_eigenvalue_and_no_count(self, monkeypatch):
+        import dhlattice.operators
+
+        calls = []
+        eig_banded = scipy.linalg.eig_banded
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return eig_banded(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Sturm count in the linking start")
+
+        monkeypatch.setattr(scipy.linalg, "eig_banded", recording)
+        monkeypatch.setattr(dhlattice.operators, "sturm_count", forbidden)
+        assert not hasattr(solver_module, "sturm_count")
+        for coeffs in (model_coefficients(), period2_coefficients(), n2_coefficients()):
+            calls.clear()
+            op = assemble(Window.zero_pad(6), coeffs)
+            solver_module._linking_direction(op.bands)
+            m = op.dim // 2
+            assert [(c["select"], c["select_range"]) for c in calls] == [("i", (m, m))]
 
     @pytest.mark.parametrize("half_width", [255, 512])
     def test_wide_linking_start_is_pinned(self, half_width):
@@ -557,16 +580,21 @@ SHIPPED_STARTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SHIPPED_STARTS))
-def test_shipped_starts_are_pinned(name):
-    # period2's two verified starts plateau before converging at 63 and 44
-    # iterations: the stagnation exit must leave them alone
+def shipped_problem(name):
+    """The shipped config's context on its own window, and its solve options."""
     config = load_config(str(builtin_config_path(name)))
     ctx = FunctionalContext(
         assemble(config.build_window(), config.build_coefficients()),
         config.build_nonlinearity(),
     )
-    opts = config.build_solve_options()
+    return ctx, config.build_solve_options()
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_STARTS))
+def test_shipped_starts_are_pinned(name):
+    # period2's two verified starts plateau before converging at 63 and 44
+    # iterations: the stagnation exit must leave them alone
+    ctx, opts = shipped_problem(name)
     rng = np.random.default_rng(opts.seed)
     got = []
     for strategy in opts.starts:
@@ -586,12 +614,7 @@ def test_shipped_starts_are_pinned(name):
 @pytest.mark.parametrize("name", sorted(SHIPPED_STARTS))
 def test_shipped_starts_match_sequential(name):
     # the batched line search takes the one-at-a-time search's steps and counts
-    config = load_config(str(builtin_config_path(name)))
-    ctx = FunctionalContext(
-        assemble(config.build_window(), config.build_coefficients()),
-        config.build_nonlinearity(),
-    )
-    opts = config.build_solve_options()
+    ctx, opts = shipped_problem(name)
     rng = np.random.default_rng(opts.seed)
     rescued = 0
     for strategy in opts.starts:
@@ -610,11 +633,7 @@ def test_one_newton_matrix_per_step(monkeypatch):
         return _jacobian(op, hess_blocks)
 
     monkeypatch.setattr(solver_module, "_jacobian", counting)
-    config = load_config(str(builtin_config_path("period2")))
-    ctx = FunctionalContext(
-        assemble(config.build_window(), config.build_coefficients()),
-        config.build_nonlinearity(),
-    )
+    ctx, _ = shipped_problem("period2")
     result = newton_solve(ctx, bump_start(ctx, 1.0), run_verification=False)
     assert (result.iterations, result.diagnostics["fallback_steps"]) == (63, 6)
     assert len(calls) == result.iterations
@@ -653,6 +672,40 @@ class TestMultiStart:
             assert res.success and res.verification.passed
         phis = [r.phi_value for r in results]
         assert phis == sorted(phis)
+
+    @pytest.mark.parametrize("name,expected", [("model", 1), ("period2", 1), ("n2", 2)])
+    def test_one_verification_per_distinct_orbit(self, monkeypatch, name, expected):
+        # model and period2 each reach one orbit from two starts, n2 two orbits
+        calls = []
+
+        def counting(ctx, orbit, opts):
+            calls.append(orbit)
+            return verify_candidate(ctx, orbit, opts)
+
+        monkeypatch.setattr(solver_module, "verify_candidate", counting)
+        ctx, opts = shipped_problem(name)
+        results = multi_start(ctx, opts)
+        assert len(calls) == len(results) == expected
+        assert [r.orbit for r in results] == sorted(calls, key=lambda o: Phi(ctx, o))
+
+    def test_failed_cleanest_copy_falls_back_to_next(self, monkeypatch):
+        ctx, opts = shipped_problem("model")
+        [cleanest] = multi_start(ctx, opts)
+        calls = []
+
+        def first_fails(ctx, orbit, opts):
+            calls.append(orbit)
+            report = verify_candidate(ctx, orbit, opts)
+            return dataclasses.replace(report, passed=len(calls) > 1)
+
+        monkeypatch.setattr(solver_module, "verify_candidate", first_fails)
+        [result] = multi_start(ctx, opts)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0].entries, cleanest.orbit.entries)
+        assert result.orbit is calls[1]
+        assert result.success and result.verification.passed
+        assert result.start_used != cleanest.start_used
+        assert result.grad_inf_norm >= cleanest.grad_inf_norm
 
     def test_shifted_duplicate_collapses(self, solved_model):
         ctx, result = solved_model
