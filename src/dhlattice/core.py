@@ -10,6 +10,8 @@ Truncation of the infinite lattice uses one of two boundary rules:
   translation symmetry of periodic coefficients exact, which makes spectral
   statements on the truncation certifiable).
 
+Per-period matrix stacks (S(n), S_inf(n)) pass one finite/symmetric check;
+(R0) and its gap bounds come from one batched eigenvalue call on J0 S(n).
 All types are immutable after construction and all operations are pure.
 """
 
@@ -234,40 +236,37 @@ def reembed(x: BlockVector, target: Window) -> BlockVector:
     return BlockVector(target, x.block_dim, out)
 
 
-def gap_bounds_from_matrices(matrices: np.ndarray) -> tuple[float, float]:
-    """Min and max eigenvalues of J0 S(n) over one period.
+def _asymmetric(stack: np.ndarray) -> np.ndarray:
+    """True for each matrix of a (T, M, M) stack not symmetric within SYMMETRY_TOL."""
+    return np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL
 
-    Raises HypothesisViolationError, naming the offending index, if any
-    J0 S(n) is non-symmetric or not positive definite.
-    """
-    mats = np.asarray(matrices, dtype=float)
-    block_dim = mats.shape[-1] // 2
-    j0 = coupling_matrix(block_dim)
-    lo = np.inf
-    hi = -np.inf
-    for n, s in enumerate(mats):
-        g = j0 @ s
-        if np.abs(g - g.T).max() > SYMMETRY_TOL:
-            raise HypothesisViolationError(
-                f"(R0) violated at n={n}: J0*S(n) is not symmetric"
-            )
-        eigs = np.linalg.eigvalsh(g)
-        if eigs[0] <= 0.0:
-            raise HypothesisViolationError(
-                f"(R0) violated at n={n}: J0*S(n) is not positive definite "
-                f"(min eigenvalue {eigs[0]:.6g})"
-            )
-        lo = min(lo, eigs[0])
-        hi = max(hi, eigs[-1])
-    return float(lo), float(hi)
+
+def _symmetric_stack(name: str, stack) -> np.ndarray:
+    """``stack`` as a read-only float array of T >= 1 finite symmetric 2N x 2N matrices;
+    anything else raises ConfigurationError naming ``name`` and the first bad index."""
+    mats = np.array(stack, dtype=float)
+    if mats.ndim != 3 or not mats.size or mats.shape[1] != mats.shape[2] or mats.shape[1] % 2:
+        raise ConfigurationError(f"{name} must have shape (T, 2N, 2N), T, N >= 1: {mats.shape}")
+    # NaN passes the symmetry test and every eigenvalue test after it
+    bad = np.argwhere(~np.isfinite(mats))
+    if bad.size:
+        raise ConfigurationError(
+            f"{name}[{bad[0, 0]}] holds a non-finite entry {mats[tuple(bad[0])]!r}"
+        )
+    bad = np.flatnonzero(_asymmetric(mats))
+    if bad.size:
+        raise ConfigurationError(f"{name}[{bad[0]}] is not symmetric")
+    mats.flags.writeable = False
+    return mats
 
 
 @dataclass(frozen=True, eq=False)
 class PeriodicCoefficients:
     """A period-T family of symmetric 2N x 2N matrices S(n) with its gap bounds.
 
-    lambda0 and Lambda0 are the extreme eigenvalues of J0 S(n) over one period;
-    construction fails unless every J0 S(n) is symmetric positive definite.
+    One eigenvalue call on the stack J0 S(n) decides (R0): the first n where
+    J0 S(n) is asymmetric, or else not positive definite, raises
+    HypothesisViolationError.  lambda0 and Lambda0 are that call's extremes.
     """
 
     matrices: np.ndarray
@@ -277,24 +276,18 @@ class PeriodicCoefficients:
     Lambda0: float = field(init=False)
 
     def __post_init__(self) -> None:
-        mats = np.array(self.matrices, dtype=float)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] % 2:
-            raise ConfigurationError(
-                f"matrices must have shape (T, 2N, 2N), got {mats.shape}"
-            )
-        # NaN passes both the symmetry and the positivity test below
-        bad = np.argwhere(~np.isfinite(mats))
+        mats = _symmetric_stack("matrices", self.matrices)
+        g = coupling_matrix(mats.shape[1] // 2) @ mats
+        eigs = np.linalg.eigvalsh(g)
+        asymmetric = _asymmetric(g)
+        bad = np.flatnonzero(asymmetric | (eigs[:, 0] <= 0.0))
         if bad.size:
-            raise ConfigurationError(
-                f"matrices[{bad[0, 0]}] holds a non-finite entry {mats[tuple(bad[0])]!r}"
-            )
-        for n, s in enumerate(mats):
-            if np.abs(s - s.T).max() > SYMMETRY_TOL:
-                raise ConfigurationError(f"matrices[{n}] is not symmetric")
-        lam0, lam1 = gap_bounds_from_matrices(mats)
-        mats.flags.writeable = False
+            n = bad[0]
+            fault = "is not symmetric" if asymmetric[n] else (
+                f"is not positive definite (min eigenvalue {eigs[n, 0]:.6g})")
+            raise HypothesisViolationError(f"(R0) violated at n={n}: J0*S(n) {fault}")
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "period", mats.shape[0])
         object.__setattr__(self, "block_dim", mats.shape[1] // 2)
-        object.__setattr__(self, "lambda0", lam0)
-        object.__setattr__(self, "Lambda0", lam1)
+        object.__setattr__(self, "lambda0", float(eigs[:, 0].min()))
+        object.__setattr__(self, "Lambda0", float(eigs[:, -1].max()))

@@ -49,7 +49,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import PeriodicCoefficients, SYMMETRY_TOL, require_real
+from .core import PeriodicCoefficients, _symmetric_stack, require_real
 
 ORIGIN_TOL = 1e-12
 NONNEGATIVITY_TOL = 1e-12
@@ -82,7 +82,8 @@ class Nonlinearity:
 
     The callables must be T-periodic in n, vanish at z = 0, and be pure
     reentrant functions.  ``hessian`` is optional; solvers fall back to
-    finite differences of the gradient.
+    finite differences of the gradient.  ``s_infinity`` passes the stack check
+    of S(n); lambda_infinity is its least eigenvalue, from one batched call.
     """
 
     block_dim: int
@@ -94,22 +95,12 @@ class Nonlinearity:
     lambda_infinity: float = field(init=False)
 
     def __post_init__(self) -> None:
-        s_inf = np.array(self.s_infinity, dtype=float)
+        s_inf = _symmetric_stack("s_infinity", self.s_infinity)
         expected = (self.period, 2 * self.block_dim, 2 * self.block_dim)
         if s_inf.shape != expected:
             raise ValueError(f"s_infinity must have shape {expected}, got {s_inf.shape}")
-        if not np.isfinite(s_inf).all():
-            raise ValueError("s_infinity must be finite")
-        for n, s in enumerate(s_inf):
-            if np.abs(s - s.T).max() > SYMMETRY_TOL:
-                raise ValueError(f"s_infinity[{n}] is not symmetric")
-        s_inf.flags.writeable = False
         object.__setattr__(self, "s_infinity", s_inf)
-        object.__setattr__(
-            self,
-            "lambda_infinity",
-            float(min(np.linalg.eigvalsh(s)[0] for s in s_inf)),
-        )
+        object.__setattr__(self, "lambda_infinity", float(np.linalg.eigvalsh(s_inf)[:, 0].min()))
         nodes = np.arange(self.period)
         origin = np.zeros((self.period, 2 * self.block_dim))
         v0 = np.broadcast_to(np.asarray(self.value(nodes, origin), dtype=float), nodes.shape)
@@ -163,14 +154,13 @@ def _radial_family(
         diag = (2.0 * fp(r))[..., None, None] * np.eye(z.shape[-1])
         return diag + (4.0 * fpp(r))[..., None, None] * (z[..., :, None] * z[..., None, :])
 
-    s_inf = np.tile(nu * np.eye(2 * block_dim), (1, 1, 1))
     return Nonlinearity(
         block_dim=block_dim,
         period=1,
         value=value,
         gradient=gradient,
         hessian=hessian,
-        s_infinity=s_inf,
+        s_infinity=nu * np.eye(2 * block_dim)[None],
     )
 
 

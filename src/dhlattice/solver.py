@@ -219,6 +219,7 @@ def _require_zero_pad(ctx: FunctionalContext) -> None:
         )
 
 
+@np.errstate(all="ignore")  # a narrow gaussian's (n / w)^2 overflows to a zero profile
 def initial_guess(
     strategy,
     ctx: FunctionalContext,
@@ -328,6 +329,7 @@ def _linking_direction(bands: np.ndarray) -> np.ndarray:
     v = np.random.default_rng(0).standard_normal(dim)
     for _ in range(LINKING_SOLVES):
         v, _ = scipy.linalg.lapack.dgbtrs(lu, bw, bw, v, piv)
+        v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])  # exact; the norm cannot underflow
         v /= np.linalg.norm(v)
         if np.linalg.norm(banded_matvec(bands, v) - lam * v) <= (2 * bw + 1) * floor:
             break

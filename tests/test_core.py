@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhlattice import (
     BlockVector,
@@ -15,8 +17,8 @@ from dhlattice import (
     reembed,
     shift,
 )
-from dhlattice.core import json_text, require_real
-from helpers import model_coefficients, random_block_vector
+from dhlattice.core import SYMMETRY_TOL, json_text, require_real
+from helpers import model_coefficients, random_block_vector, random_coefficients
 
 TOL = 1e-12
 
@@ -246,6 +248,95 @@ class TestPeriodicCoefficients:
         coeffs = model_coefficients()
         with pytest.raises(ValueError):
             coeffs.matrices[0, 0, 0] = 5.0
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (1, 0, 0), (2, 2), (1, 2, 3), (1, 3, 3)])
+    def test_empty_or_misshapen_stack_rejected(self, shape):
+        with pytest.raises(ConfigurationError, match=r"matrices must have shape \(T, 2N, 2N\)"):
+            PeriodicCoefficients(np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "matrices,message",
+        [
+            ([[[1, 0], [0, 1]]], "n=0: J0*S(n) is not positive definite (min eigenvalue -1)"),
+            ([[[0, -1], [-1, 0.5]]], "n=0: J0*S(n) is not symmetric"),
+            ([[[0, -1], [-1, 0]], [[0.3, -1], [-1, 0]]], "n=1: J0*S(n) is not symmetric"),
+            ([[[0, -1], [-1, 0]], [[1, 2], [2, 1]]],
+             "n=1: J0*S(n) is not positive definite (min eigenvalue -3)"),
+            # not positive definite at n = 0 comes before asymmetric at n = 1
+            ([[[1, 0], [0, 1]], [[0.3, -1], [-1, 0]]],
+             "n=0: J0*S(n) is not positive definite (min eigenvalue -1)"),
+        ],
+    )
+    def test_first_r0_fault_named(self, matrices, message):
+        with pytest.raises(HypothesisViolationError) as info:
+            PeriodicCoefficients(matrices)
+        assert str(info.value) == "(R0) violated at " + message
+
+
+def per_n_rule(mats: np.ndarray) -> tuple[float, float]:
+    """(R0) and its gap bounds decided one n at a time: every S(n) symmetric,
+    then each J0 S(n) symmetric before positive definite, in order of n."""
+    for n, s in enumerate(mats):
+        if np.abs(s - s.T).max() > SYMMETRY_TOL:
+            raise ConfigurationError(f"matrices[{n}] is not symmetric")
+    j0 = coupling_matrix(mats.shape[1] // 2)
+    lo, hi = np.inf, -np.inf
+    for n, s in enumerate(mats):
+        g = j0 @ s
+        if np.abs(g - g.T).max() > SYMMETRY_TOL:
+            raise HypothesisViolationError(f"(R0) violated at n={n}: J0*S(n) is not symmetric")
+        eigs = np.linalg.eigvalsh(g)
+        if eigs[0] <= 0.0:
+            raise HypothesisViolationError(
+                f"(R0) violated at n={n}: J0*S(n) is not positive definite "
+                f"(min eigenvalue {eigs[0]:.6g})"
+            )
+        lo, hi = min(lo, eigs[0]), max(hi, eigs[-1])
+    return float(lo), float(hi)
+
+
+def add_fault(mats: np.ndarray, n: int, kind: str) -> None:
+    """Break S(n) in place so that one stage of the (R0) decision fails at n."""
+    half = mats.shape[1] // 2
+    if kind == "S asymmetric":
+        mats[n, 0, 1] += 0.5
+    elif kind == "J0 S asymmetric":
+        # S(n) stays symmetric; (J0 S)(half, 0) moves and (J0 S)(0, half) does not
+        mats[n, 0, 0] += 0.3
+    else:  # "J0 S indefinite": J0 S(n) - c I with c between its extreme eigenvalues
+        eigs = np.linalg.eigvalsh(coupling_matrix(half) @ mats[n])
+        mats[n] -= 0.5 * (eigs[0] + eigs[-1]) * coupling_matrix(half)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    block_dim=st.integers(1, 3),
+    period=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    faults=st.dictionaries(
+        st.integers(0, 3),
+        st.sampled_from(["S asymmetric", "J0 S asymmetric", "J0 S indefinite"]),
+        max_size=2,
+    ),
+)
+def test_one_pass_matches_per_n_rule(block_dim, period, seed, faults):
+    """The batched (R0) decision gives the per-n rule's bounds bit for bit, and
+    its exception type and message (the first offending n) on broken stacks."""
+    mats = np.array(random_coefficients(block_dim, period, np.random.default_rng(seed)).matrices)
+    faults = {n: kind for n, kind in faults.items() if n < period}
+    for n, kind in faults.items():
+        add_fault(mats, n, kind)
+    try:
+        expected = per_n_rule(mats)
+    except (ConfigurationError, HypothesisViolationError) as exc:
+        assert faults
+        with pytest.raises(type(exc)) as info:
+            PeriodicCoefficients(mats)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return
+    assert not faults
+    coeffs = PeriodicCoefficients(mats)
+    assert (coeffs.lambda0, coeffs.Lambda0) == expected
 
 
 class TestRequireReal:

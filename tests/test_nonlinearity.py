@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dhlattice import (
+    ConfigurationError,
     Nonlinearity,
     SamplingPlan,
     check_hypotheses,
@@ -229,6 +230,16 @@ class TestNonlinearityInvariants:
             s_infinity=s_inf,
         )
         assert nl.lambda_infinity == 2.0
+
+    def test_period_zero_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"s_infinity must have shape \(T, 2N, 2N\)"):
+            Nonlinearity(
+                block_dim=1,
+                period=0,
+                value=lambda n, z: np.zeros(np.shape(n)),
+                gradient=lambda n, z: np.zeros_like(z),
+                s_infinity=np.zeros((0, 2, 2)),
+            )
 
     def test_asymmetric_s_infinity_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):

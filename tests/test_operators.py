@@ -20,7 +20,6 @@ from dhlattice import (
     lp_norm,
 )
 from dhlattice import operators
-from dhlattice.core import gap_bounds_from_matrices
 from dhlattice.operators import (
     _chain_bands,
     _reflection_symmetric,
@@ -494,17 +493,18 @@ class TestCoercivityBounds:
     """lambda0 and Lambda0: the extreme eigenvalues of J0 S(n) over one period."""
 
     def test_model(self):
-        assert gap_bounds_from_matrices(MODEL_MATRICES) == pytest.approx((1.0, 1.0), abs=TOL)
+        coeffs = PeriodicCoefficients(MODEL_MATRICES)
+        assert (coeffs.lambda0, coeffs.Lambda0) == pytest.approx((1.0, 1.0), abs=TOL)
 
     def test_split(self):
-        lo, hi = gap_bounds_from_matrices([[[0.2, -1.0], [-1.0, 0.2]]])
-        assert lo == pytest.approx(0.8, abs=TOL)
-        assert hi == pytest.approx(1.2, abs=TOL)
+        coeffs = PeriodicCoefficients([[[0.2, -1.0], [-1.0, 0.2]]])
+        assert coeffs.lambda0 == pytest.approx(0.8, abs=TOL)
+        assert coeffs.Lambda0 == pytest.approx(1.2, abs=TOL)
 
     def test_random_families_positive(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             coeffs = random_coefficients(int(rng.integers(1, 4)), int(rng.integers(1, 4)), rng)
-            lo, hi = gap_bounds_from_matrices(coeffs.matrices)
-            assert 0.0 < lo <= hi
-            assert (lo, hi) == (coeffs.lambda0, coeffs.Lambda0)
+            assert 0.0 < coeffs.lambda0 <= coeffs.Lambda0
+            rebuilt = PeriodicCoefficients(coeffs.matrices)
+            assert (rebuilt.lambda0, rebuilt.Lambda0) == (coeffs.lambda0, coeffs.Lambda0)

@@ -11,6 +11,7 @@ from dhlattice import (
     ConfigurationError,
     FunctionalContext,
     NumericalError,
+    PeriodicCoefficients,
     Phi,
     SolveOptions,
     StartStrategy,
@@ -113,6 +114,14 @@ class TestInitialGuess:
         )
         profile = np.linalg.norm(x.entries, axis=1)
         assert profile[center] == profile.max()
+
+    def test_narrow_gaussian_is_one_node_without_warning(self):
+        # (n / w)^2 overflows for every n != 0; exp(-inf) = 0 is the profile there
+        ctx = model_ctx(16)
+        x = bump_start(ctx, 1.0, width=1e-200)
+        center = 0 - x.window.lo
+        np.testing.assert_array_equal(x.entries[center], np.ones(2) / np.sqrt(2.0))
+        assert np.count_nonzero(x.entries) == 2
 
     def test_random_scaling(self):
         ctx = model_ctx(8)
@@ -225,6 +234,12 @@ class TestLinkingStart:
             op.bands[0], op.bands[1, :-1], select="i", select_range=(m, m)
         )
         assert min(np.abs(v - u[:, 0]).max(), np.abs(v + u[:, 0]).max()) < 1e-10
+
+    def test_huge_coefficients(self):
+        # model x 1e200 satisfies (R0); the inverse iterates are so small that
+        # their squares underflow, so the norm must be taken after scaling
+        coeffs = PeriodicCoefficients(1e200 * np.asarray(model_coefficients().matrices))
+        assert_linking_is_dense_eigenvector(assemble(Window.zero_pad(16), coeffs))
 
     def test_middle_eigenvalue_must_be_positive(self):
         negative = -np.ones((1, 4))
