@@ -24,14 +24,22 @@ by a phase: phase 1 on the window's nodes is the periodic matrix, exp(i
 theta) on the period cell 0..T-1 the Bloch symbol at quasimomentum theta,
 built for a whole array of theta at once.  Periodic windows serve spectral
 certification only; the orbit search runs on zero-pad windows.  The
-periodic crosscheck of ``spectrum`` takes the ring in band storage from
-``_ring_bands``: when P S(-n mod T) P == S(n) exactly, P the swap of x1 and
-x2, the ring commutes with the site reflection x(n) -> P x(-n) and splits
-into a reflection-even and a reflection-odd block, each with L/2 = NK
-columns and half-bandwidth 2N - 1; other coefficients take the ring's
-L = 2NK scalar unknowns reordered as 0, L-1, 1, L-2, ..., which brings
-every coupling, the wrap-around one included, within a scalar
-half-bandwidth of 4N - 2.
+periodic crosscheck of ``spectrum`` takes the ring on K nodes, L = 2NK
+scalar unknowns, in band storage from ``_ring_bands``: when
+P S(-n mod T) P == S(n) exactly, P the swap of x1 and x2, the ring commutes
+with the site reflection x(n) -> P x(-n) and splits into a reflection-even
+and a reflection-odd block, each with L/2 = NK columns and half-bandwidth
+2N - 1.  On other coefficients with an even
+number of cells the half-turn x(n) -> x(n + K/2), a translation by whole
+periods, commutes with the ring; in the basis (e_a +- e_(a + L/2)) / sqrt(2)
+the ring is the direct sum of a periodic and an antiperiodic ring on K/2
+nodes, the wrap-around entries times +1 and -1, each entry one entry of the
+ring.  The periodic half is split again while its cell count is even, so
+cells = 2^a b, b odd, give the antiperiodic rings on K/2, K/4, ..., K/2^a
+nodes and the periodic ring on K/2^a.  Each is folded by
+``_folded_ring_bands``: its scalar unknowns reordered as 0, L-1, 1, L-2,
+..., which brings every coupling, the wrap-around one included, within a
+scalar half-bandwidth of 4N - 2.
 """
 
 from __future__ import annotations
@@ -174,43 +182,71 @@ def _reflection_symmetric(coeffs: PeriodicCoefficients) -> bool:
     return bool(np.array_equal(mirrored, mats))
 
 
+def _folded_ring_bands(coeffs: PeriodicCoefficients, count: int, sign: float) -> np.ndarray:
+    """Lower-banded storage of the ring on nodes 0..count-1 with its
+    wrap-around entries times ``sign``: 1 is the periodic ring, -1 the
+    antiperiodic one (``_ring_matrix`` at phase +-1).
+
+    The ring's L = 2N count scalar unknowns sit at positions 0, L-1, 1, L-2,
+    ...; every coupling, the wrap-around one included, joins unknowns at most
+    2N - 1 apart around the ring, so positions at most 4N - 2 apart.  On one
+    node the wrap-around entries land in the diagonal block and add to it.
+    """
+    rows, cols, vals = _ring_entries(coeffs, np.arange(count))
+    n = coeffs.block_dim
+    size = count * 2 * n
+    vals[-n:] *= sign
+    unknowns = np.arange(size)
+    pos = np.minimum(2 * unknowns, 2 * (size - 1 - unknowns) + 1)
+    i, j = pos[rows], pos[cols]
+    bands = np.zeros((min(4 * n - 1, size), size))
+    np.add.at(bands, (np.abs(i - j), np.minimum(i, j)), vals)
+    return bands
+
+
 def _ring_bands(coeffs: PeriodicCoefficients, count: int) -> tuple[np.ndarray, ...]:
     """Lower-banded storage of the periodic ring on nodes 0..count-1, count a
     whole number of periods, as blocks whose eigenvalues together are the
     ring's.
 
-    An involution R of the L = 2N count scalar unknowns pairs them; each
-    block keeps the smaller unknown a of each pair {a, R a}, at position
-    pos[a], and its entry is H[a, b] + sigma H[a, R b] (H[a, b] alone when
-    b = R b): H in the basis (e_a + sigma e_Ra) / sqrt(2), or e_a.  On
-    coefficients that pass ``_reflection_symmetric``, R is the site
-    reflection (n, c) -> (-n mod count, c +- N), which fixes no unknown
-    since it swaps x1 and x2 even on the fixed nodes 0 and count/2.  The
-    kept unknowns, in node-major order, are node 0's x1, every unknown of
-    nodes 1..(count-1)//2 and node count/2's x1 on an even count; node 0's
-    wrap-around coupling becomes one to node 1 and the middle nodes couple
-    to their own mirrors, so the even (sigma = 1) and odd (sigma = -1)
-    blocks have L/2 columns and half-bandwidth 2N - 1.  Other coefficients
-    take R = identity and one block, the folded ring: the unknowns at
-    positions 0, L-1, 1, L-2, ..., where every coupling, the wrap-around one
-    included, joins unknowns at most 2N - 1 apart around the ring, so
-    positions at most 4N - 2 apart.
+    On coefficients that pass ``_reflection_symmetric`` the ring commutes
+    with R, the site reflection (n, c) -> (-n mod count, c +- N) of its
+    L = 2N count scalar unknowns, which fixes no unknown since it swaps x1
+    and x2 even on the fixed nodes 0 and count/2.  Each block keeps the
+    smaller unknown a of each pair {a, R a}, at position pos[a], and its
+    entry is H[a, b] + sigma H[a, R b]: H in the basis (e_a + sigma e_Ra) /
+    sqrt(2).  The kept unknowns, in node-major order, are node 0's x1, every
+    unknown of nodes 1..(count-1)//2 and node count/2's x1 on an even count;
+    node 0's wrap-around coupling becomes one to node 1 and the middle nodes
+    couple to their own mirrors, so the even (sigma = 1) and odd
+    (sigma = -1) blocks have L/2 columns and half-bandwidth 2N - 1.
+
+    Other coefficients split by half-turns.  On an even number of cells the
+    half-turn x(n) -> x(n + count/2) is a translation by whole periods, so
+    it commutes with the ring.  In the basis (e_a +- e_(a + L/2)) / sqrt(2),
+    a < L/2, the ring is the direct sum of the rings on count/2 nodes with
+    the wrap-around entries times +1 and times -1, and each of their entries
+    is one entry of H: the couplings across the cut at node count/2 and the
+    wrap-around ones become the half ring's wrap-around pair.  The
+    antiperiodic half is kept and the periodic half split again while its
+    cell count is even, so cells = 2^a b, b odd, give a + 1 blocks: the
+    antiperiodic rings on count/2, count/4, ..., count/2^a nodes and the
+    periodic ring on count/2^a, each folded by ``_folded_ring_bands``.
     """
+    if not _reflection_symmetric(coeffs):
+        blocks = []
+        while count % (2 * coeffs.period) == 0:
+            count //= 2
+            blocks.append(_folded_ring_bands(coeffs, count, -1.0))
+        return (*blocks, _folded_ring_bands(coeffs, count, 1.0))
     rows, cols, vals = _ring_entries(coeffs, np.arange(count))
     n = coeffs.block_dim
     size = count * 2 * n
     unknowns = np.arange(size)
-    if _reflection_symmetric(coeffs):
-        node, comp = np.divmod(unknowns, 2 * n)
-        mirror = (-node % count) * 2 * n + (comp + n) % (2 * n)
-        pos = np.cumsum(unknowns < mirror) - 1
-        signs, width = (1.0, -1.0), 2 * n
-    else:
-        mirror = unknowns
-        pos = np.minimum(2 * unknowns, 2 * (size - 1 - unknowns) + 1)
-        signs, width = (1.0,), 4 * n - 1
-    kept = unknowns <= mirror
-    dim = np.count_nonzero(kept)
+    node, comp = np.divmod(unknowns, 2 * n)
+    mirror = (-node % count) * 2 * n + (comp + n) % (2 * n)
+    kept = unknowns < mirror
+    pos = np.cumsum(kept) - 1
     # every entry of H in both orientations, the diagonal once
     off = rows != cols
     left = np.concatenate([rows, cols[off]])
@@ -223,8 +259,8 @@ def _ring_bands(coeffs: PeriodicCoefficients, count: int) -> tuple[np.ndarray, .
     index = (i[on] - j[on], j[on])
     mirrored, vals = ~kept[right[on]], vals[on]
     blocks = []
-    for sign in signs:
-        bands = np.zeros((min(width, dim), dim))
+    for sign in (1.0, -1.0):
+        bands = np.zeros((min(2 * n, size // 2), size // 2))
         np.add.at(bands, index, np.where(mirrored, sign * vals, vals))
         blocks.append(bands)
     return tuple(blocks)

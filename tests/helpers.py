@@ -82,6 +82,18 @@ def random_coefficients(
     return PeriodicCoefficients(mats)
 
 
+def folded_diagonals(ring: np.ndarray) -> np.ndarray:
+    """Every sub-diagonal of a dense ring with its L scalar unknowns in the
+    order 0, L-1, 1, L-2, ..., as lower-banded storage with L rows."""
+    dim = ring.shape[0]
+    perm = [i // 2 if i % 2 == 0 else dim - 1 - i // 2 for i in range(dim)]
+    folded = ring[perm][:, perm]
+    bands = np.zeros((dim, dim))
+    for k in range(dim):
+        bands[k, : dim - k] = np.diagonal(folded, -k)
+    return bands
+
+
 def random_window(
     period: int, rng: np.random.Generator, max_half_width: int = 64
 ) -> Window:

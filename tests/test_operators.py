@@ -19,9 +19,9 @@ from dhlattice import (
     l2_inner,
     lp_norm,
 )
-from dhlattice import operators
 from dhlattice.operators import (
     _chain_bands,
+    _folded_ring_bands,
     _reflection_symmetric,
     _ring_bands,
     _ring_matrix,
@@ -29,6 +29,7 @@ from dhlattice.operators import (
 )
 from helpers import (
     MODEL_MATRICES,
+    folded_diagonals,
     model_coefficients,
     n2_coefficients,
     period2_coefficients,
@@ -279,24 +280,18 @@ def random_n2_t4_coefficients():
     [model_coefficients, period2_coefficients, n2_coefficients, random_n2_t4_coefficients],
 )
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 9, 64])
-def test_folded_ring_bands_equal_permuted_ring(coeffs_fn, count, monkeypatch):
-    # the ring's scalar unknowns in the order 0, L-1, 1, L-2, ...; on one node
-    # both wrap-around blocks land in the diagonal block.  The shipped sets
-    # are reflection-symmetric, so the folded basis is forced on them.
+def test_folded_ring_bands_equal_permuted_ring(coeffs_fn, count):
+    # the ring's scalar unknowns in the order 0, L-1, 1, L-2, ..., its
+    # wrap-around entries times +1 (periodic) and -1 (antiperiodic); on one
+    # node both wrap-around blocks land in the diagonal block
     coeffs = coeffs_fn()
-    monkeypatch.setattr(operators, "_reflection_symmetric", lambda coeffs: False)
     n = coeffs.block_dim
-    ring = _ring_matrix(coeffs, np.arange(count), 1.0)
-    dim = ring.shape[0]
-    perm = [i // 2 if i % 2 == 0 else dim - 1 - i // 2 for i in range(dim)]
-    folded = ring[perm][:, perm]
     rows_expected = 2 * n if count == 1 else 4 * n - 1
-    rows, cols = np.nonzero(folded)
-    assert np.abs(rows - cols).max() == rows_expected - 1
-    expected = np.zeros((rows_expected, dim))
-    for k in range(rows_expected):
-        expected[k, : dim - k] = np.diagonal(folded, -k)
-    assert np.array_equal(np.stack(_ring_bands(coeffs, count)), expected[None])
+    for sign in (1.0, -1.0):
+        full = folded_diagonals(_ring_matrix(coeffs, np.arange(count), sign))
+        # the last stored sub-diagonal holds an entry and none lies beyond it
+        assert full[rows_expected - 1].any() and not full[rows_expected:].any()
+        assert np.array_equal(_folded_ring_bands(coeffs, count, sign), full[:rows_expected])
 
 
 def random_n2_t2_coefficients():

@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dhlattice import (
     BlockVector,
+    ConfigurationError,
     PeriodicCoefficients,
     Phi_split,
     Window,
@@ -28,6 +29,7 @@ from dhlattice import operators, spectral
 from dhlattice.cli import builtin_config_path, load_config, main
 from helpers import (
     first_positive,
+    folded_diagonals,
     free_model_ctx,
     model_coefficients,
     n2_coefficients,
@@ -220,6 +222,19 @@ class TestBandStructure:
         with pytest.raises(ValueError):
             band_structure(model_coefficients(), 1)
 
+    def test_float_grid_size_is_refused(self):
+        with pytest.raises(ConfigurationError, match="grid_size must be an integer"):
+            band_structure(model_coefficients(), 3.0)
+
+
+@pytest.mark.parametrize(
+    "cells, fault",
+    [(0, "at least 1"), (-1, "at least 1"), (3.0, "an integer"), (True, "an integer")],
+)
+def test_crosscheck_refuses_a_bad_cell_count(cells, fault):
+    with pytest.raises(ConfigurationError, match=f"cells must be {fault}"):
+        spectral.periodic_crosscheck(model_coefficients(), cells)
+
 
 @pytest.mark.parametrize("name", ["model", "period2", "n2"])
 def test_batched_symbol(name, tmp_path, capsys):
@@ -364,6 +379,57 @@ def test_reflection_blocks_hold_the_ring_eigenvalues(coeffs, cells):
     assert np.abs(split - ring).max() <= 1e-12 * (2.0 + coeffs.Lambda0)
 
 
+def nudged(coeffs):
+    """``coeffs`` with S(0)'s first entry one ulp higher, which breaks their
+    reflection symmetry: P S(0) P moves that entry to row and column N."""
+    mats = np.array(coeffs.matrices)
+    mats[0, 0, 0] = np.nextafter(mats[0, 0, 0], np.inf)
+    return PeriodicCoefficients(mats)
+
+
+@st.composite
+def unreflected_coefficients(draw):
+    """(R0) matrices drawn on their own, nudged where they are
+    reflection-symmetric, as every set with T <= 2 is."""
+    coeffs = draw(r0_coefficients())
+    return nudged(coeffs) if operators._reflection_symmetric(coeffs) else coeffs
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(coeffs=unreflected_coefficients(), cells=st.integers(1, 16))
+@example(coeffs=nudged(model_coefficients()), cells=16)
+def test_half_turn_blocks_hold_the_ring_eigenvalues(coeffs, cells):
+    # cells = 2^a b, b odd: each half-turn splits the periodic ring P on
+    # 2h unknowns, invariant under the shift by h, into P[:h, :h] - P[:h, h:]
+    # (kept) and P[:h, :h] + P[:h, h:] (split again), the ring in the basis
+    # (e_a -+ e_(a + h)) / sqrt(2); T = 1 and 16 cells end in one-node rings
+    count = cells * coeffs.period
+    assert not operators._reflection_symmetric(coeffs)
+    blocks = operators._ring_bands(coeffs, count)
+    halvings = (cells & -cells).bit_length() - 1
+    ring = operators._ring_matrix(coeffs, np.arange(count), 1.0)
+    size = ring.shape[0]
+    assert [bands.shape[1] for bands in blocks] == (
+        [size >> k for k in range(1, halvings + 1)] + [size >> halvings])
+    expected = []
+    periodic = ring
+    for _ in range(halvings):
+        h = periodic.shape[0] // 2
+        assert np.array_equal(periodic[h:, h:], periodic[:h, :h])
+        assert np.array_equal(periodic[h:, :h], periodic[:h, h:])
+        expected.append(periodic[:h, :h] - periodic[:h, h:])
+        periodic = periodic[:h, :h] + periodic[:h, h:]
+    expected.append(periodic)
+    for bands, block in zip(blocks, expected):
+        # at most 4N - 2 sub-diagonals, fewer on a block of fewer unknowns
+        assert bands.shape[0] == min(4 * coeffs.block_dim - 1, block.shape[0])
+        full = folded_diagonals(block)
+        assert np.array_equal(bands, full[: bands.shape[0]])
+        assert not full[bands.shape[0] :].any()
+    split = np.sort(np.concatenate([banded_eigenvalues(bands) for bands in blocks]))
+    assert np.abs(split - np.linalg.eigvalsh(ring)).max() <= 1e-12 * (2.0 + coeffs.Lambda0)
+
+
 @functools.cache
 def perfbench_random_coefficients():
     """The benchmark's random N = 2, T = 4 set, which is not reflection-symmetric."""
@@ -410,10 +476,12 @@ def test_crosscheck_takes_the_reflected_path_on_symmetric_sets(name, reflected, 
         return blocks
 
     monkeypatch.setattr(spectral, "_ring_bands", counting)
-    cross = spectral.periodic_crosscheck(coeffs, 5)
-    # the reflection-even and -odd blocks, or the one folded ring
-    assert block_counts == [2 if reflected else 1]
-    assert cross["max_mismatch"] <= 1e-12 * (2.0 + coeffs.Lambda0)
+    for cells in (5, 64):
+        cross = spectral.periodic_crosscheck(coeffs, cells)
+        assert cross["max_mismatch"] <= 1e-12 * (2.0 + coeffs.Lambda0)
+    # the reflection-even and -odd blocks, or the rings of the half-turn
+    # split: 64 = 2^6 cells give six antiperiodic rings and one periodic one
+    assert block_counts == ([2, 2] if reflected else [1, 7])
 
 
 @pytest.mark.parametrize("name", ["model", "period2", "n2", "perfbench_random"])
