@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional
@@ -67,6 +68,16 @@ def require_real(name: str, value) -> float:
         return float(value)
     except OverflowError as exc:  # an int beyond the float range
         raise ConfigurationError(f"{name} is beyond the float range") from exc
+
+
+def require_positive(name: str, value, allow_zero: bool = False) -> float:
+    """``value`` as a float if it is a real number (``require_real``) that is
+    finite and positive, or finite and nonnegative when ``allow_zero``."""
+    value = require_real(name, value)
+    if not math.isfinite(value) or value < 0 or (value == 0 and not allow_zero):
+        kind = "nonnegative" if allow_zero else "positive"
+        raise ConfigurationError(f"{name} must be finite and {kind}, got {value}")
+    return value
 
 
 class SpectralGapError(ArithmeticError):

@@ -43,7 +43,11 @@ over the stack in the nonlinearity call.
 The per-node coefficient matrices are tiled instead: ``einsum`` on the
 (m K, 2N) rows with a tiled (m K, 2N, 2N) operand is several times faster
 than the same product broadcasting over the stack axis, and gives the same
-bits.
+bits.  The solver's stacks keep the tiled operand small: a whole window is
+sent one point at a time (no tiling), and a slab holds at most
+RESCUE_TRIALS - 1 = 59 points on 2 CORE_HALF_WIDTH + 3 = 19 rows, whose
+tiled matrices take 59 * 19 * (2N)^2 * 8 bytes (35 KB at N = 1, 143 KB at
+N = 2).
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ from .operators import TruncatedOperator, _difference_rows
 from .spectral import SpectralDecomposition, eigendecompose
 
 GAP_EIGENVALUE_TOL = 1e-10
-STACK_CHUNK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,20 +141,14 @@ class FunctionalContext:
         Each point's rows equal ``gradient_entries`` on that point bit for bit,
         except a slab's edge rows inside the window (``_linear_rows``): the
         stack makes one gradient call, the slab's node labels broadcasting
-        over the points.  Stacks larger than STACK_CHUNK_BYTES of tiled node
-        matrices are taken in chunks of points, at least one per chunk, each
-        chunk one gradient call.
+        over the points.  The tiled node matrices take 8 m L (2N)^2 bytes,
+        bounded for the solver's stacks as the module docstring states.
         """
-        m, count, n2 = z.shape
+        _, count, _ = z.shape
         if not 0 <= start <= self.window.num_nodes - count:
             raise DimensionMismatchError(
                 f"rows {start}..{start + count - 1} are not in the window's "
                 f"{self.window.num_nodes} nodes"
-            )
-        chunk = max(1, STACK_CHUNK_BYTES // (8 * count * n2 * n2))
-        if m > chunk:
-            return np.concatenate(
-                [self.gradient_stack(z[i : i + chunk], start) for i in range(0, m, chunk)]
             )
         nodes = self._nodes[start : start + count]
         return self._linear_rows(z, start) - np.asarray(self.nl.gradient(nodes, z), dtype=float)

@@ -43,13 +43,12 @@ grad R is not finite at one of its samples.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import PeriodicCoefficients, _symmetric_stack, require_real
+from .core import PeriodicCoefficients, _symmetric_stack, require_positive
 
 ORIGIN_TOL = 1e-12
 NONNEGATIVITY_TOL = 1e-12
@@ -164,17 +163,9 @@ def _radial_family(
     )
 
 
-def _require_positive(name: str, value: float, allow_zero: bool = False) -> None:
-    """Reject bools, non-numbers, NaN, infinities and values below the family's range."""
-    value = require_real(name, value)
-    if not math.isfinite(value) or value < 0 or (value == 0 and not allow_zero):
-        kind = "nonnegative" if allow_zero else "positive"
-        raise ValueError(f"{name} must be finite and {kind}, got {value}")
-
-
 def family_radial_rational(nu: float, block_dim: int = 1) -> Nonlinearity:
     """R = (nu/2) |z|^4 / (1 + |z|^2); asymptotically nu I with remainder nu/(1+r)^2."""
-    _require_positive("nu", nu)
+    require_positive("nu", nu)
     return _radial_family(
         nu,
         block_dim,
@@ -186,7 +177,7 @@ def family_radial_rational(nu: float, block_dim: int = 1) -> Nonlinearity:
 
 def family_log_saturating(nu: float, block_dim: int = 1) -> Nonlinearity:
     """R = (nu/2) (|z|^2 - log(1 + |z|^2)); asymptotically nu I with remainder nu/(1+r)."""
-    _require_positive("nu", nu)
+    require_positive("nu", nu)
     return _radial_family(
         nu,
         block_dim,
@@ -198,7 +189,7 @@ def family_log_saturating(nu: float, block_dim: int = 1) -> Nonlinearity:
 
 def family_quadratic(strength: float, block_dim: int = 1) -> Nonlinearity:
     """Pure quadratic R = (c/2)|z|^2; breaks (R2) because |grad R|/|z| = c at 0."""
-    _require_positive("strength", strength, allow_zero=True)
+    require_positive("strength", strength, allow_zero=True)
     c = float(strength)
     return _radial_family(
         c,

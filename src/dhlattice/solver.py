@@ -16,26 +16,26 @@ copy to the general-band storage ``dgbsv`` reads, and the rescue step reuses
 the same J for its two band products.
 
 Both searches try step lengths t, t/2, t/4, ... (41 Armijo trials from t = 1,
-60 rescue trials from the Cauchy step) and take the first that passes.  The
-first trial is evaluated alone on the whole window; on the shipped configs
-66 of the 243 Newton steps (27 %) take t = 1 and the other 177 reject it.
-After a rejection the remaining trials are screened on the iterate's core,
-the rows within CORE_HALF_WIDTH nodes of the row holding its largest entry:
-one slab stack gradient (``FunctionalContext.gradient_stack``) gives the core
-rows of every remaining trial, the slab one halo node wider on each side so
-that every core row is exact.  A trial whose core sum of squares, times
-CORE_MARGIN, fails the test is rejected without its whole window.  The core
-sum is a partial sum of the nonnegative terms of the full ||g||^2, and the
-margin, 1e-9, exceeds the relative rounding of the two sums together (about
-2 K 2N eps, below 1e-9 up to two million unknowns), so the full sum would fail
-too; a NaN or an overflow in the core fails the test, as the full sum would.
-The trials that pass the screen get the whole window, in order, and the test
-on their full ||g||^2; the first that passes is taken.  Halving is exact, and
-every trial point and its gradient rows round as they would one at a time, so
-the search accepts the same step as a one-at-a-time search.  On the shipped
-configs the screen itself rejects 96 % of the screened trials that fail.  The
-diagnostic ``gradient_evaluations`` counts the starting point and the trials
-up to the accepted one, the count of a one-at-a-time search.
+60 rescue trials from the Cauchy step) in one loop and take the first that
+passes.  The first trial gets the whole window; on the shipped configs 66 of
+the 243 Newton steps (27 %) take t = 1 and the other 177 reject it.  That
+rejection screens every later trial on the iterate's core, the rows within
+CORE_HALF_WIDTH nodes of the row holding its largest entry: one slab stack
+gradient (``FunctionalContext.gradient_stack``) gives the core rows of every
+later trial, the slab one halo node wider on each side so that every core
+row is exact.  The loop skips a trial whose core sum of squares, times
+CORE_MARGIN, fails the test.  The core sum is a partial sum of the
+nonnegative terms of the full ||g||^2, and the margin, 1e-9, exceeds the
+relative rounding of the two sums together (about 2 K 2N eps, below 1e-9 up
+to two million unknowns), so the full sum would fail too; a NaN or an
+overflow in the core fails the test, as the full sum would.  A trial that
+passes the screen gets the whole window and the test on its full ||g||^2.
+Halving is exact, and every trial point and its gradient rows round as they
+would one at a time, so the search accepts the same step as a one-at-a-time
+search.  On the shipped configs the screen itself rejects 96 % of the
+screened trials that fail.  The diagnostic ``gradient_evaluations`` counts
+the starting point and the trials up to the accepted one (all of them when
+none passes), the count of a one-at-a-time search.
 
 Near a nonzero local minimizer of (1/2)||F||^2 the Newton matrix is nearly
 singular and the line search only creeps, so a start can spend its whole
@@ -99,6 +99,7 @@ from .core import (
     json_text,
     lp_norm,
     require_int,
+    require_positive,
     require_real,
     shift,
 )
@@ -135,15 +136,14 @@ class StartStrategy:
             raise ConfigurationError(
                 f"start kind must be one of {json_text(START_KINDS)}, got {json_text(self.kind)}"
             )
-        object.__setattr__(self, "amplitude", require_real("start amplitude", self.amplitude))
+        # both fields must be numbers before either range is checked
+        require_real("start amplitude", self.amplitude)
         if self.width is not None:
-            object.__setattr__(self, "width", require_real("start width", self.width))
-        if not 0.0 <= self.amplitude < np.inf:
-            raise ConfigurationError(
-                f"start amplitude must be finite and nonnegative, got {self.amplitude}"
-            )
-        if self.width is not None and not 0.0 < self.width < np.inf:
-            raise ConfigurationError(f"start width must be finite and positive, got {self.width}")
+            require_real("start width", self.width)
+        amplitude = require_positive("start amplitude", self.amplitude, allow_zero=True)
+        object.__setattr__(self, "amplitude", amplitude)
+        if self.width is not None:
+            object.__setattr__(self, "width", require_positive("start width", self.width))
 
     @property
     def tag(self) -> str:
@@ -443,37 +443,36 @@ def _newton_iterate(
         trial x + t direction passes ``accept(t, ||g||^2)``, as (trial x,
         trial gradient rows), or None.
 
-        The first trial is evaluated alone.  The rest are screened on the
-        core rows (module docstring) in one slab stack gradient, and only
-        those the screen cannot reject get the whole window, in order.  The
-        count of gradient evaluations is that of a one-at-a-time search.
+        One loop takes the trials in order.  The first gets the whole window;
+        when it fails, one slab stack gradient gives the core rows of all the
+        others (module docstring), and a later trial whose core fails the
+        test is skipped.  The rest get the whole window and the test on
+        their full ||g||^2.  The count of gradient evaluations is that of a
+        one-at-a-time search.
         """
         nonlocal gradient_evaluations
         steps = []
         for _ in range(count):
             steps.append(t)
             t *= BACKTRACK_SHRINK
-        trial = x + steps[0] * direction
-        grad = ctx.gradient_stack(trial[None])[0]
-        if accept(steps[0], float(np.vdot(grad, grad))):
-            gradient_evaluations += 1
-            return trial, grad
-        peak = int(np.argmax(np.abs(x).max(axis=1)))  # the row of x's largest entry
-        lo = max(peak - CORE_HALF_WIDTH, 0)
-        hi = min(peak + CORE_HALF_WIDTH + 1, num_nodes)
-        a, b = max(lo - 1, 0), min(hi + 1, num_nodes)  # one halo node each side
-        rest = np.array(steps[1:])[:, None, None]
-        slab = ctx.gradient_stack(x[a:b] + rest * direction[a:b], start=a)
-        core = slab[:, lo - a : hi - a].reshape(count - 1, -1)
-        core_sq = np.einsum("ij,ij->i", core, core).tolist()
-        for i in range(1, count):
-            if not accept(steps[i], core_sq[i - 1] * CORE_MARGIN):
+        core_sq = None
+        for i, step in enumerate(steps):
+            if i > 0 and not accept(step, core_sq[i - 1] * CORE_MARGIN):
                 continue
-            trial = x + steps[i] * direction
+            trial = x + step * direction
             grad = ctx.gradient_stack(trial[None])[0]
-            if accept(steps[i], float(np.vdot(grad, grad))):
+            if accept(step, float(np.vdot(grad, grad))):
                 gradient_evaluations += i + 1
                 return trial, grad
+            if i == 0:
+                peak = int(np.argmax(np.abs(x).max(axis=1)))  # the row of x's largest entry
+                lo = max(peak - CORE_HALF_WIDTH, 0)
+                hi = min(peak + CORE_HALF_WIDTH + 1, num_nodes)
+                a, b = max(lo - 1, 0), min(hi + 1, num_nodes)  # one halo node each side
+                rest = np.array(steps[1:])[:, None, None]
+                slab = ctx.gradient_stack(x[a:b] + rest * direction[a:b], start=a)
+                core = slab[:, lo - a : hi - a].reshape(count - 1, -1)
+                core_sq = np.einsum("ij,ij->i", core, core).tolist()
         gradient_evaluations += count
         return None
 
@@ -485,7 +484,6 @@ def _newton_iterate(
     gradient_evaluations += 1
     g_inf = inf_norm(g)
     history = [g_inf]
-    best = [g_inf]  # best[k]: smallest residual over the first k steps
     regularizations = 0
     fallback_steps = 0
     polish = 0
@@ -538,12 +536,11 @@ def _newton_iterate(
             polish += 1
         x, g, g_inf = x_trial, g_trial, new_inf
         history.append(g_inf)
-        best.append(min(best[-1], g_inf))
         if g_inf <= GRAD_TOL:
             converged = True
         elif (
             iterations >= STAGNATION_WINDOW
-            and best[-1] > STAGNATION_RATIO * best[-1 - STAGNATION_WINDOW]
+            and min(history) > STAGNATION_RATIO * min(history[:-STAGNATION_WINDOW])
         ):
             stop_reason = "stagnated"
             break

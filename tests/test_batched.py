@@ -9,8 +9,6 @@ per-node reference loop written out below.
 """
 
 import dataclasses
-from contextlib import nullcontext
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,8 +37,9 @@ from dhlattice import (
     manufactured_problem,
     residual_DHS,
 )
+from dhlattice.cli import EXIT_OK, builtin_config_path, main
 from dhlattice.functional import tildeR_sum
-from dhlattice.solver import _jacobian, _node_hessians
+from dhlattice.solver import CORE_HALF_WIDTH, RESCUE_TRIALS, _jacobian, _node_hessians
 from helpers import (
     model_coefficients,
     n2_coefficients,
@@ -196,12 +195,10 @@ def point_stacks(draw):
 
 @seed(20141408)
 @BOUNDED
-@given(case=point_stacks(), chunked=st.booleans())
-def test_stack_gradient_equals_per_point_gradients(case, chunked):
+@given(case=point_stacks())
+def test_stack_gradient_equals_per_point_gradients(case):
     ctx, z = case
-    # a one-byte chunk bound puts every point in its own chunk
-    with mock.patch("dhlattice.functional.STACK_CHUNK_BYTES", 1) if chunked else nullcontext():
-        stacked = ctx.gradient_stack(z)
+    stacked = ctx.gradient_stack(z)
     assert stacked.shape == z.shape
     for i, point in enumerate(z):
         x = BlockVector(ctx.window, ctx.op.block_dim, point)
@@ -308,16 +305,33 @@ def test_difference_hessian_is_one_gradient_call(bd):
     assert calls == {"value": [], "gradient": [(ctx.window.num_nodes,)]}
 
 
-def test_stack_gradient_is_one_call_per_chunk():
+@pytest.mark.parametrize("name", ["model", "period2", "n2"])
+def test_newton_gradient_traffic_is_one_point_or_one_core_slab(name, monkeypatch, tmp_path):
+    # a shipped solve sends gradient_stack one point on a whole window, or a
+    # core slab of at most RESCUE_TRIALS - 1 trials on 2 CORE_HALF_WIDTH + 3
+    # rows, so its tiled node matrices stay small without a chunk bound
+    calls = []
+    stack = FunctionalContext.gradient_stack
+
+    def logged(ctx, z, start=0):
+        calls.append((z.shape[0], z.shape[1], ctx.window.num_nodes))
+        return stack(ctx, z, start)
+
+    monkeypatch.setattr(FunctionalContext, "gradient_stack", logged)
+    code = main(["solve", "--config", str(builtin_config_path(name)), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    whole = [m for m, rows, num_nodes in calls if rows == num_nodes]
+    slabs = [(m, rows) for m, rows, num_nodes in calls if rows < num_nodes]
+    assert whole and slabs
+    assert set(whole) == {1}
+    assert max(m for m, _ in slabs) <= RESCUE_TRIALS - 1
+    assert max(rows for _, rows in slabs) <= 2 * CORE_HALF_WIDTH + 3
+
+
+def test_stack_gradient_is_one_call_per_stack():
     window = Window.zero_pad(5)
     nl, calls = counted(family_radial_rational(4.0, block_dim=2))
     ctx = FunctionalContext(assemble(window, n2_coefficients()), nl)
     z = np.random.default_rng(3).standard_normal((5, window.num_nodes, 4))
     ctx.gradient_stack(z)
     assert calls["gradient"] == [(window.num_nodes,)]
-    # a bound of two points' tiled node matrices: chunks of 2, 2 and 1 points
-    calls["gradient"].clear()
-    two_points = 2 * 8 * window.num_nodes * 4 * 4
-    with mock.patch("dhlattice.functional.STACK_CHUNK_BYTES", two_points):
-        ctx.gradient_stack(z)
-    assert calls["gradient"] == [(window.num_nodes,)] * 3

@@ -10,8 +10,12 @@ from dhlattice import (
     DimensionMismatchError,
     HypothesisViolationError,
     PeriodicCoefficients,
+    StartStrategy,
     Window,
     coupling_matrix,
+    family_log_saturating,
+    family_quadratic,
+    family_radial_rational,
     l2_inner,
     lp_norm,
     reembed,
@@ -350,6 +354,43 @@ class TestRequireReal:
     def test_bools_strings_and_huge_ints_rejected(self, value):
         with pytest.raises(ConfigurationError, match="^x "):
             require_real("x", value)
+
+
+class TestRequirePositive:
+    # every scalar parameter with a range: (its name, its range, a builder)
+    PARAMETERS = [
+        pytest.param("nu", "positive", family_radial_rational, id="radial_rational"),
+        pytest.param("nu", "positive", family_log_saturating, id="log_saturating"),
+        pytest.param("strength", "nonnegative", family_quadratic, id="quadratic"),
+        pytest.param("start amplitude", "nonnegative", lambda v: StartStrategy("gaussian", v),
+                     id="amplitude"),
+        pytest.param("start width", "positive", lambda v: StartStrategy("gaussian", 1.0, v),
+                     id="width"),
+    ]
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [(float("nan"), "nan"), (np.inf, "inf"), (-np.inf, "-inf"), (-1, "-1.0"), (0, "0.0")],
+    )
+    @pytest.mark.parametrize("name, kind, build", PARAMETERS)
+    def test_out_of_range_values_raise_one_message(self, name, kind, build, value, text):
+        if value == 0 and kind == "nonnegative":
+            build(value)
+            return
+        with pytest.raises(ConfigurationError) as info:
+            build(value)
+        assert str(info.value) == f"{name} must be finite and {kind}, got {text}"
+
+    @pytest.mark.parametrize(
+        "amplitude, width, text",
+        [(-1.0, 0.0, "start amplitude must be finite and nonnegative, got -1.0"),
+         (-1.0, "2", 'start width must be a number, got "2"')],
+        ids=["both_out_of_range", "width_not_a_number"],
+    )
+    def test_start_fields_are_numbers_before_either_range(self, amplitude, width, text):
+        with pytest.raises(ConfigurationError) as info:
+            StartStrategy("gaussian", amplitude, width)
+        assert str(info.value) == text
 
 
 @pytest.mark.parametrize(

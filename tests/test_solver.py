@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dhlattice import (
@@ -20,6 +20,8 @@ from dhlattice import (
     deduplicate_results,
     default_starts,
     eigendecompose,
+    energy_defect,
+    energy_identity_check,
     family_quadratic,
     family_radial_rational,
     initial_guess,
@@ -478,6 +480,50 @@ class TestStopReason:
         )
         x0 = initial_guess(StartStrategy(start, amplitude, 2.0), ctx, amplitude, rng=rng)
         assert_matches_sequential(ctx, x0, SolveOptions(max_iter=60))
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(
+        block_dim=st.sampled_from([1, 2]),
+        period=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**16),
+        half_width=st.integers(3, 10),
+        nu=st.sampled_from([3.0, 6.0, 12.0]),
+        start=st.sampled_from(["gaussian", "random", "linking"]),
+        amplitude=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+    )
+    @example(block_dim=1, period=1, seed=0, half_width=8, nu=6.0, start="gaussian",
+             amplitude=2.0)
+    def test_energy_identity_at_converged_orbits(
+        self, block_dim, period, seed, half_width, nu, start, amplitude
+    ):
+        # Phi - (1/2)(grad Phi, x) = sum tilde R holds exactly, so at a
+        # converged orbit x, with g the computed grad Phi(x),
+        #   |Phi(x) - sum tilde R| <= (1/2)|(g, x)| + 2 dim eps M,
+        #   M = (|H0| |x|, |x|) + (|grad R|, |x|) + 2 sum_n |R(n, x(n))|:
+        # each sum (Phi, the tilde R sum, (g, x)) has at most dim = 2N K terms
+        # of magnitudes bounded by M, and a sum of n terms errs by at most
+        # (n - 1) eps times the sum of their magnitudes; the factor 2 covers
+        # the few roundings inside each term.
+        rng = np.random.default_rng(seed)
+        ctx = FunctionalContext(
+            assemble(Window.zero_pad(half_width), random_coefficients(block_dim, period, rng)),
+            family_radial_rational(nu, block_dim=block_dim),
+        )
+        x0 = initial_guess(StartStrategy(start, amplitude, 2.0), ctx, amplitude, rng=rng)
+        result = newton_solve(ctx, x0, SolveOptions(max_iter=60), run_verification=False)
+        if result.status != "converged":
+            return
+        x = result.orbit
+        assert abs(energy_defect(ctx, x)) <= 1e-10  # acceptance criterion 4's bound
+        z, nodes = x.entries, ctx.window.nodes
+        g = ctx.gradient_entries(x)
+        magnitude = (
+            float(np.vdot(banded_matvec(np.abs(ctx.op.bands), np.abs(x.flat)), np.abs(x.flat)))
+            + float(np.vdot(np.abs(ctx.nl.gradient(nodes, z)), np.abs(z)))
+            + 2.0 * float(np.abs(ctx.nl.value(nodes, z)).sum())
+        )
+        rounding = 2.0 * z.size * np.finfo(float).eps * magnitude
+        assert energy_identity_check(ctx, x) <= 0.5 * abs(float(np.vdot(g, z))) + rounding
 
 
 def sequential_newton(ctx, x0, opts):
