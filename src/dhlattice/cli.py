@@ -17,12 +17,16 @@ all commands give a config the same verdict.  A bad field, flag or
 orbit-file value raises ``ConfigurationError``, which ``main`` reports as
 ``{"error": ...}`` with exit 2, as it does a ``MemoryError`` from a window or
 grid too large to allocate.  Integer fields take JSON integers only, number
-fields JSON numbers only (not booleans or strings), a section a JSON object
-only (not null), orbit files finite numbers under the header
-``n,x1_1..x1_N,x2_1..x2_N`` only.  An orbit file is read in one pass: the
-rows' comma counts, one split of the joined rows, and ``int`` and ``float``
-over the whole label and entry columns; a file that fails any of these is
-reported by its first faulty row, as a row-by-row reader would.
+fields JSON numbers only (not booleans or strings), orbit files finite
+numbers under the header ``n,x1_1..x1_N,x2_1..x2_N`` only.  The root, each
+section and each start pass one rule, ``_json_object``: a JSON object (not
+null) with no key outside its fields.  The root's fields and default
+sections are one table, ``_CONFIG_FIELDS``; the solver and start fields are
+those of ``SolveOptions`` and ``StartStrategy``; the ``nonlinearity``
+parameters go to the family function.  An orbit file is read in one pass:
+the rows' comma counts, one split of the joined rows, and ``int`` and
+``float`` over the whole label and entry columns; a file that fails any of
+these is reported by its first faulty row, as a row-by-row reader would.
 Coefficients that fail the hypothesis (R0) exit 1.
 
 The configuration is a JSON object with explicit dimensions; matrices are
@@ -51,10 +55,10 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import NoReturn, Optional
+from typing import Iterable, NoReturn, Optional
 
 import numpy as np
 
@@ -73,7 +77,7 @@ from .functional import FunctionalContext
 from .nonlinearity import FAMILIES, Nonlinearity, SamplingPlan, check_hypotheses
 from .operators import assemble
 from .spectral import BandStructure, band_structure, periodic_crosscheck
-from .solver import SolveOptions, StartStrategy, default_starts, multi_start, verify_candidate
+from .solver import SolveOptions, StartStrategy, multi_start, verify_candidate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -92,20 +96,27 @@ def builtin_config_path(name: str) -> Path:
         return Path(path)
 
 
-# sections a config leaves out; each is copied before it is read, never changed
-_DEFAULT_NONLINEARITY = {"family": "radial_rational", "nu": 4.0}
-_DEFAULT_WINDOW = {"half_width": 64, "boundary": "zero_pad"}
-_DEFAULT_SOLVER: dict = {}
-_WINDOW_FIELDS = {"half_width", "boundary"}
-_SOLVER_FIELDS = {"max_iter", "seed", "starts"}
-_START_FIELDS = {"kind", "amplitude", "width"}
+# the root's fields: None marks a required field, a dict the section that a
+# config leaving the field out reads (copied before it is read, never
+# changed); the window section names every window field
+_CONFIG_FIELDS = {
+    "block_dim": None,
+    "period": None,
+    "matrices": None,
+    "nonlinearity": {"family": "radial_rational", "nu": 4.0},
+    "window": {"half_width": 64, "boundary": "zero_pad"},
+    "solver": {},
+}
 
 
-def _section(name: str, value) -> dict:
-    """A copy of a config sub-object; a given section, even an empty one, is
-    validated as it stands, and null is not a section."""
+def _json_object(name: str, value, known: Optional[Iterable[str]]) -> dict:
+    """A copy of ``value``, which must be a JSON object with no key outside
+    ``known`` (any key when ``known`` is None); null is not an object."""
     if not isinstance(value, dict):
         raise ConfigurationError(f"{name} must be a JSON object, got {json_text(value)}")
+    unknown = set(value).difference(known) if known is not None else ()
+    if unknown:
+        raise ConfigurationError(f"unknown {name} fields: {sorted(unknown)}")
     return dict(value)
 
 
@@ -124,51 +135,43 @@ def _nonlinearity(block_dim: int, params: dict) -> Nonlinearity:
 
 
 def _solve_options(raw: dict) -> SolveOptions:
-    """The solve options that a ``solver`` section sets (consumes ``raw``)."""
-    unknown = set(raw) - _SOLVER_FIELDS
-    if unknown:
-        raise ConfigurationError(f"unknown solver fields: {sorted(unknown)}")
+    """The solve options that a ``solver`` section sets (consumes ``raw``);
+    a start's width is refused on the kinds that do not read it."""
     starts_raw = raw.pop("starts", None)
-    if starts_raw is not None and not (
-        isinstance(starts_raw, list)
-        and starts_raw
-        and all(isinstance(s, dict) for s in starts_raw)
-    ):
+    if starts_raw is not None and not (isinstance(starts_raw, list) and starts_raw):
         raise ConfigurationError("solver.starts must be a non-empty list of objects")
+    start_fields = [f.name for f in fields(StartStrategy)]
     for i, s in enumerate(starts_raw or ()):
-        unknown = set(s) - _START_FIELDS
-        if unknown:
-            raise ConfigurationError(f"unknown solver.starts[{i}] fields: {sorted(unknown)}")
+        _json_object(f"solver.starts[{i}]", s, start_fields)
         if "width" in s and s["width"] is None:  # StartStrategy reads None as absent
             raise ConfigurationError(f"solver.starts[{i}].width must be a number, got null")
     try:
-        if starts_raw is None:
-            starts = default_starts()
-        else:
-            starts = tuple(
-                StartStrategy(s.get("kind"), s.get("amplitude", 1.0), s.get("width"))
-                for s in starts_raw
-            )
-        return SolveOptions(starts=starts, **raw)
+        if starts_raw is not None:
+            raw["starts"] = tuple(StartStrategy(**{"kind": None, **s}) for s in starts_raw)
+        options = SolveOptions(**raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"solver options invalid: {exc}") from exc
+    for i, start in enumerate(options.starts):
+        if start.width is not None and start.kind != "gaussian":
+            raise ConfigurationError(
+                f"solver.starts[{i}].width is read by gaussian starts only, "
+                f"not by kind {json_text(start.kind)}"
+            )
+    return options
 
 
 class ProblemConfig:
     """Validated mirror of the JSON configuration: every section but the
     coefficients, whose (R0) test is a check result, is built here, once."""
 
-    def __init__(
-        self,
-        block_dim: int,
-        period: int,
-        matrices: list[list[float]],
-        nonlinearity: dict = _DEFAULT_NONLINEARITY,
-        window: dict = _DEFAULT_WINDOW,
-        solver: dict = _DEFAULT_SOLVER,
-    ) -> None:
-        self.block_dim = require_int("block_dim", block_dim, 1)
-        self.period = require_int("period", period, 1)
+    def __init__(self, raw) -> None:
+        raw = _json_object("configuration", raw, _CONFIG_FIELDS)
+        for name, default in _CONFIG_FIELDS.items():
+            if default is None and name not in raw:
+                raise ConfigurationError(f"missing required field {name!r}")
+        self.block_dim = require_int("block_dim", raw["block_dim"], 1)
+        self.period = require_int("period", raw["period"], 1)
+        matrices = raw["matrices"]
         if not (isinstance(matrices, list) and all(isinstance(row, list) for row in matrices)):
             raise ConfigurationError("matrices must be a list of rows of numbers")
         self.matrices = [
@@ -186,30 +189,24 @@ class ProblemConfig:
                     f"matrices[{n}] has {len(row)} entries, expected {width} "
                     f"(row-major {2 * self.block_dim}x{2 * self.block_dim})"
                 )
-        window = _section("window", window)
-        unknown = set(window) - _WINDOW_FIELDS
-        if unknown:
-            raise ConfigurationError(f"unknown window fields: {sorted(unknown)}")
-        if window.get("boundary", Boundary.ZERO_PAD) != Boundary.ZERO_PAD:
+
+        def section(name: str, known: Optional[Iterable[str]]) -> dict:
+            return _json_object(name, raw.get(name, _CONFIG_FIELDS[name]), known)
+
+        window = {**_CONFIG_FIELDS["window"], **section("window", _CONFIG_FIELDS["window"])}
+        if window["boundary"] != Boundary.ZERO_PAD:
             raise ConfigurationError(
                 f'window.boundary must be "zero_pad", got {json_text(window["boundary"])}'
             )
-        self._window = Window.zero_pad(window.get("half_width", _DEFAULT_WINDOW["half_width"]))
-        self._nonlinearity = _nonlinearity(self.block_dim, _section("nonlinearity", nonlinearity))
-        self._solve_options = _solve_options(_section("solver", solver))
+        self._window = Window.zero_pad(window["half_width"])
+        self._nonlinearity = _nonlinearity(self.block_dim, section("nonlinearity", None))
+        self._solve_options = _solve_options(
+            section("solver", [f.name for f in fields(SolveOptions)])
+        )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ProblemConfig":
-        if not isinstance(raw, dict):
-            raise ConfigurationError("configuration root must be a JSON object")
-        known = {"block_dim", "period", "matrices", "nonlinearity", "window", "solver"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigurationError(f"unknown configuration fields: {sorted(unknown)}")
-        for req in ("block_dim", "period", "matrices"):
-            if req not in raw:
-                raise ConfigurationError(f"missing required field {req!r}")
-        return cls(**raw)
+        return cls(raw)
 
     # --- domain objects ---------------------------------------------------
 

@@ -125,10 +125,11 @@ START_KINDS = ("linking", "gaussian", "random")
 @dataclass(frozen=True)
 class StartStrategy:
     """One initial-guess recipe for the multi-start search; amplitude and
-    width must be real numbers, stored as floats."""
+    width must be real numbers, stored as floats.  Only ``gaussian`` reads
+    the width."""
 
     kind: str  # one of START_KINDS
-    amplitude: float
+    amplitude: float = 1.0
     width: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -570,12 +571,12 @@ def verify_candidate(
 ) -> VerificationReport:
     """Every orbit check; the window-doubling re-solve runs on contexts built
     from ``ctx``'s coefficients and nonlinearity, with the options' iteration
-    budget and no starts."""
+    budget (the only option it reads)."""
     return verify_orbit(
         ctx,
         orbit,
         ctx_builder=lambda w: FunctionalContext(assemble(w, ctx.op.coeffs), ctx.nl),
-        solve_opts=replace(opts, starts=()),
+        solve_opts=opts,
     )
 
 

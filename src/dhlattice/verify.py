@@ -34,7 +34,7 @@ The tolerances are fixed module constants:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -89,14 +89,6 @@ class DecayFit:
     n_points: int
     conclusive: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-            "conclusive": self.conclusive,
-        }
-
 
 FIT_FLOOR = 1e-14
 
@@ -113,22 +105,20 @@ def decay_fit(x: BlockVector) -> DecayFit:
     """
     norms = np.linalg.norm(x.entries, axis=1)
     nodes = x.window.nodes
-    rows: list[tuple[float, float, float]] = []  # (|n|, log|x|, side)
+    picked, sides = [], []  # per side, the tail rows in increasing |n|
     for mask, side in ((nodes < 0, 0.0), (nodes > 0, 1.0)):
-        usable = mask & (norms >= FIT_FLOOR)
-        side_count = int(usable.sum())
-        if side_count == 0:
-            continue
-        width = max(2, int(round(TAIL_FRACTION * side_count)))
-        dist = np.where(usable, np.abs(nodes), -1)
-        picked = np.argsort(dist)[-min(width, side_count):]
-        for i in picked:
-            rows.append((abs(float(nodes[i])), math.log(norms[i]), side))
-    if len(rows) < 4:
-        return DecayFit(rate=float("nan"), r_squared=0.0, n_points=len(rows), conclusive=False)
-    dist = np.array([r[0] for r in rows])
-    logv = np.array([r[1] for r in rows])
-    side = np.array([r[2] for r in rows])
+        usable = np.flatnonzero(mask & (norms >= FIT_FLOOR))
+        width = max(2, int(round(TAIL_FRACTION * usable.size)))
+        tail = usable[np.argsort(np.abs(nodes[usable]))[-min(width, usable.size):]]
+        picked.append(tail)
+        sides.append(np.full(tail.size, side))
+    rows = np.concatenate(picked)
+    if rows.size < 4:
+        return DecayFit(rate=float("nan"), r_squared=0.0, n_points=rows.size, conclusive=False)
+    dist = np.abs(nodes[rows]).astype(float)
+    # math.log per entry: np.log can differ from it in the last bit
+    logv = np.array([math.log(v) for v in norms[rows].tolist()])
+    side = np.concatenate(sides)
     design = np.column_stack([dist, 1.0 - side, side])
     sol, *_ = np.linalg.lstsq(design, logv, rcond=None)
     fitted = design @ sol
@@ -136,7 +126,7 @@ def decay_fit(x: BlockVector) -> DecayFit:
     ss_tot = float(np.sum((logv - logv.mean()) ** 2))
     r2 = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
     return DecayFit(
-        rate=float(np.exp(sol[0])), r_squared=r2, n_points=len(rows), conclusive=True
+        rate=float(np.exp(sol[0])), r_squared=r2, n_points=rows.size, conclusive=True
     )
 
 
@@ -160,7 +150,7 @@ def window_stability(
     from .solver import _newton_iterate  # deferred: solver builds on this module
 
     src = x.window
-    doubled = Window(2 * src.half_width, Boundary.ZERO_PAD, 2 * src.num_nodes - 1)
+    doubled = Window.zero_pad(2 * src.half_width)
     big_ctx = ctx_builder(doubled)
     seed = reembed(x, doubled)
     orbit, _, _, status, _ = _newton_iterate(big_ctx, seed, opts)
@@ -184,15 +174,7 @@ class VerificationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "dhs_residual_inf": self.dhs_residual_inf,
-            "energy_identity_defect": self.energy_identity_defect,
-            "orbit_linf": self.orbit_linf,
-            "decay": self.decay.to_dict(),
-            "window_stability_inf": self.window_stability_inf,
-            "checks": dict(self.checks),
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @np.errstate(all="ignore")

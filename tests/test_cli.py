@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import dhlattice
+from dhlattice import cli
 from dhlattice.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -21,7 +23,7 @@ from dhlattice.cli import (
     main,
 )
 from dhlattice.core import ConfigurationError, Window
-from dhlattice.solver import SolveOptions
+from dhlattice.solver import SolveOptions, StartStrategy
 from helpers import reject_constant
 
 
@@ -108,6 +110,72 @@ class TestConfigParsing:
         for config in (absent, empty):
             assert config.build_window() == Window(64)
             assert config.build_solve_options() == SolveOptions()
+
+    def test_every_solver_and_start_field_loads(self):
+        # one valid value per dataclass field: a field added to either
+        # dataclass must be added here too
+        start = {"kind": "gaussian", "amplitude": 2.0, "width": 1.5}
+        solver = {"max_iter": 7, "seed": 3, "starts": [start]}
+        assert set(start) == {f.name for f in dataclasses.fields(StartStrategy)}
+        assert set(solver) == {f.name for f in dataclasses.fields(SolveOptions)}
+        raw = json.loads(builtin_config_path("model").read_text())
+        options = ProblemConfig.from_dict({**raw, "solver": solver}).build_solve_options()
+        assert options == SolveOptions(
+            max_iter=7, starts=(StartStrategy("gaussian", 2.0, 1.5),), seed=3
+        )
+
+    @pytest.mark.parametrize(
+        "path, name",
+        [((), "configuration"), (("window",), "window"), (("solver",), "solver"),
+         (("solver", "starts", 0), "solver.starts[0]"),
+         (("solver", "starts", 4), "solver.starts[4]")],
+    )
+    def test_misspelt_key_names_its_object(self, path, name):
+        raw = json.loads(builtin_config_path("model").read_text())
+        target = raw
+        for step in path:
+            target = target[step]
+        target["sead"] = 1
+        with pytest.raises(ConfigurationError) as info:
+            ProblemConfig.from_dict(raw)
+        assert str(info.value) == f"unknown {name} fields: ['sead']"
+
+    def test_misspelt_nonlinearity_parameter_reaches_the_family(self):
+        # the nonlinearity section has no field set: its parameters go to the
+        # family function, which refuses a name it does not take
+        raw = json.loads(builtin_config_path("model").read_text())
+        raw["nonlinearity"]["nuu"] = 4.0
+        with pytest.raises(ConfigurationError, match="^nonlinearity parameters invalid: .*'nuu'"):
+            ProblemConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "change, text",
+        [(lambda raw: [raw], "configuration must be a JSON object, got [{"),
+         (lambda raw: {**raw, "solver": {"starts": [{"kind": "random"}, 1]}},
+          "solver.starts[1] must be a JSON object, got 1")],
+        ids=["root", "start"],
+    )
+    def test_value_that_is_not_an_object_is_named(self, change, text):
+        raw = json.loads(builtin_config_path("model").read_text())
+        with pytest.raises(ConfigurationError) as info:
+            ProblemConfig.from_dict(change(raw))
+        assert str(info.value).startswith(text)
+
+    def test_field_added_to_a_dataclass_loads_without_a_loader_edit(self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class Start(StartStrategy):
+            code: int = 0
+
+        @dataclasses.dataclass(frozen=True)
+        class Options(SolveOptions):
+            budget: int = 0
+
+        monkeypatch.setattr(cli, "StartStrategy", Start)
+        monkeypatch.setattr(cli, "SolveOptions", Options)
+        raw = json.loads(builtin_config_path("model").read_text())
+        raw["solver"] = {"budget": 5, "starts": [{"kind": "random", "code": 3}]}
+        options = ProblemConfig.from_dict(raw).build_solve_options()
+        assert options == Options(starts=(Start("random", code=3),), budget=5)
 
     @pytest.mark.parametrize("first_format", ["%.17g", "%d"])
     def test_row_format_equals_per_element_join(self, first_format):
@@ -655,6 +723,8 @@ ONE_VERDICT_CHANGES = {
     "start-width-text": ("solver", "starts", [{"kind": "gaussian", "width": "2"}]),
     "start-width-null": ("solver", "starts", [{"kind": "gaussian", "width": None}]),
     "start-unknown-field": ("solver", "starts", [{"kind": "gaussian", "amplitud": 5}]),
+    "start-width-linking": ("solver", "starts", [{"kind": "linking", "width": 2}]),
+    "start-width-random": ("solver", "starts", [{"kind": "random", "width": 2}]),
 }
 # the offending value as the config spells it in JSON, not as Python would
 ONE_VERDICT_TEXT = {
@@ -673,6 +743,8 @@ ONE_VERDICT_TEXT = {
     "start-amplitude-bool": "amplitude must be a number, got true",
     "start-width-text": 'width must be a number, got "2"',
     "start-width-null": "width must be a number, got null",
+    "start-width-linking": 'starts[0].width is read by gaussian starts only, not by kind "linking"',
+    "start-width-random": 'starts[0].width is read by gaussian starts only, not by kind "random"',
 }
 MALFORMED_INPUTS += [
     _case(f"{name}-{command}", command, change, text=ONE_VERDICT_TEXT.get(name))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from dhlattice import (
     verify_orbit,
     window_stability,
 )
+from dhlattice.verify import FIT_FLOOR, TAIL_FRACTION, DecayFit
 from helpers import model_coefficients, period2_coefficients, random_block_vector
 
 
@@ -134,6 +137,44 @@ class TestDecayFit:
         fit = decay_fit(orbit)
         assert fit.conclusive and fit.rate < 1.0 and fit.r_squared > 0.99
         assert fit.rate == pytest.approx(0.5, abs=1e-6)
+
+    def test_equals_row_by_row_reference(self):
+        # the tail rows picked one at a time, in the same order, give the
+        # same least-squares input, so every field is equal, NaN included
+        rng = np.random.default_rng(11)
+        for _ in range(600):
+            w = Window.zero_pad(int(rng.integers(0, 40)))
+            n2 = 2 * int(rng.integers(1, 3))
+            entries = rng.standard_normal((w.num_nodes, n2))
+            entries *= rng.uniform(0.1, 1.2) ** np.abs(w.nodes)[:, None]
+            entries[rng.random(w.num_nodes) < 0.2] = 0.0
+            x = BlockVector(w, n2 // 2, entries)
+            assert repr(decay_fit(x)) == repr(reference_decay_fit(x))
+
+
+def reference_decay_fit(x):
+    """``decay_fit`` with its tail rows built one at a time."""
+    norms = np.linalg.norm(x.entries, axis=1)
+    nodes = x.window.nodes
+    rows = []  # (|n|, log|x|, side)
+    for mask, side in ((nodes < 0, 0.0), (nodes > 0, 1.0)):
+        usable = mask & (norms >= FIT_FLOOR)
+        side_count = int(usable.sum())
+        if side_count == 0:
+            continue
+        width = max(2, int(round(TAIL_FRACTION * side_count)))
+        dist = np.where(usable, np.abs(nodes), -1)
+        for i in np.argsort(dist)[-min(width, side_count):]:
+            rows.append((abs(float(nodes[i])), math.log(norms[i]), side))
+    if len(rows) < 4:
+        return DecayFit(rate=float("nan"), r_squared=0.0, n_points=len(rows), conclusive=False)
+    dist, logv, side = (np.array(column) for column in zip(*rows))
+    design = np.column_stack([dist, 1.0 - side, side])
+    sol, *_ = np.linalg.lstsq(design, logv, rcond=None)
+    ss_res = float(np.sum((logv - design @ sol) ** 2))
+    ss_tot = float(np.sum((logv - logv.mean()) ** 2))
+    r2 = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
+    return DecayFit(float(np.exp(sol[0])), r2, len(rows), True)
 
 
 class TestEnergyIdentity:
